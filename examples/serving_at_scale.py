@@ -3,15 +3,13 @@
 Loads ``examples/day_in_the_life.toml`` — one million requests over a
 100-device GP102 fleet, three tenants (diurnal interactive traffic,
 bursty RNN scoring, a closed-loop reporting job), SLO-aware admission
-and queue-depth autoscaling — runs it through the fast event loop, and
+and queue-depth autoscaling — runs it through the serving engine, and
 prints the per-tenant SLO attainment, cost-per-request and shed
 breakdown that ``repro serve --json`` exposes.
 
-Run:  python examples/serving_at_scale.py [--verify]
+Run:  python examples/serving_at_scale.py
 
-``--verify`` re-runs the identical scenario through the reference
-binary-heap event loop and asserts the stats digests match bit for bit
-(roughly doubles the runtime).  Latency profiles are built at light
+Latency profiles are built at light
 fidelity through the unified result store (.repro-cache/), so the
 first run pays a few seconds of simulation and repeats are instant;
 the serving simulation itself handles the million requests in tens of
@@ -20,12 +18,11 @@ seconds of wall clock.
 
 from __future__ import annotations
 
-import sys
 import time
 from pathlib import Path
 
 from repro.gpu.config import SimOptions
-from repro.platforms import get_platform
+from repro.platforms import make_config
 from repro.runs import ResultStore
 from repro.serve import build_profiles, load_scenario, run_serve
 
@@ -42,7 +39,7 @@ def main() -> None:
 
     print("building latency profiles (cached after the first run)...")
     platforms = [device.platform for device in fleet]
-    platforms.append(get_platform(scenario.autoscale.template))
+    platforms.append(make_config(scenario.autoscale.template))
     profiles = build_profiles(
         list(scenario.networks), platforms, SimOptions().light(), ResultStore(),
     )
@@ -50,7 +47,7 @@ def main() -> None:
     start = time.perf_counter()
     stats = run_serve(
         fleet, profiles, scenario.workload(), scenario.config,
-        pipeline=scenario.pipeline(), loop=scenario.loop,
+        pipeline=scenario.pipeline(),
     )
     wall_s = time.perf_counter() - start
     print(f"\n{stats.offered:,} requests in {wall_s:.1f} s of wall clock "
@@ -76,17 +73,6 @@ def main() -> None:
               f"{tenant.shed:7,d} {tenant.latency_p99_ms:8.2f} "
               f"{tenant.slo_attainment:7.4f} {tenant.goodput_ratio:8.4f} "
               f"{tenant.cost_per_request_j:7.3f}")
-
-    if "--verify" in sys.argv[1:]:
-        print("\nre-running through the reference heap loop...")
-        start = time.perf_counter()
-        reference = run_serve(
-            fleet, profiles, scenario.workload(), scenario.config,
-            pipeline=scenario.pipeline(), loop="heap",
-        )
-        print(f"heap loop: {time.perf_counter() - start:.1f} s")
-        assert reference.digest() == stats.digest(), "event loops diverged!"
-        print(f"digests match: {stats.digest()[:16]}...")
 
 
 if __name__ == "__main__":

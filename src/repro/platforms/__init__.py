@@ -10,8 +10,7 @@ platforms (ZCU102 FPGA-class, S2NPU SpiNNaker2-class) the
 Every registered platform implements the capability-based
 :class:`~repro.platforms.base.Platform` protocol; resolve names with
 :func:`make_config`/:func:`platform` and enumerate with
-:func:`list_platforms` (optionally by ``kind``).  ``get_platform`` and
-``resolve_platform`` are deprecated shims.
+:func:`list_platforms` (optionally by ``kind``).
 """
 
 from repro.platforms.accel import (
@@ -33,12 +32,10 @@ from repro.platforms.registry import (
     GK210,
     GP102,
     TX1,
-    get_platform,
     list_platforms,
     make_config,
     platform,
     register_platform,
-    resolve_platform,
     unregister_platform,
 )
 
@@ -58,11 +55,9 @@ __all__ = [
     "S2NPU",
     "TX1",
     "ZCU102",
-    "get_platform",
     "list_platforms",
     "make_config",
     "platform",
     "register_platform",
-    "resolve_platform",
     "unregister_platform",
 ]

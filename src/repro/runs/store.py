@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -150,12 +151,32 @@ class KernelResultCache:
         self.stores += 1
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._path(key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(path)
+            _write_atomic(self._path(key), json.dumps(payload))
         except OSError:
             pass
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Publish *text* at *path* through a temp file unique to this call.
+
+    Concurrent writers of one key each fill their own temp file in the
+    same directory and ``os.replace`` it into place, so the entry is
+    always one writer's complete payload; the temp file never outlives
+    a failed write.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.",
+                               suffix=".tmp")
+    try:
+        os.fchmod(fd, 0o644)  # mkstemp creates 0600; entries stay shareable
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _decode(payload: dict) -> CachedKernel | None:
@@ -359,9 +380,7 @@ class ResultStore:
         try:
             path = self.run_path(spec)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(path)
+            _write_atomic(path, json.dumps(payload))
         except OSError:
             pass
 

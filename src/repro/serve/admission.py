@@ -25,8 +25,8 @@ upper bound on the real latency — so admission **never sheds a
 request that an idle fleet would have served within its SLO** (the
 property test in ``tests/test_serve_admission.py`` pins this).
 
-Policies are deterministic and shared verbatim by the heap and slotted
-event loops, so admission decisions can never diverge between them.
+Policies are deterministic, so the same run always sheds the same
+requests.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ drives random signal streams through the policy and asserts a
 down-decision is never followed by an up-decision while the total
 queue signal is non-increasing.
 
-Like every pipeline stage, the policy is deterministic and shared by
-both event loops.
+Like every pipeline stage, the policy is deterministic.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The discrete-event serving simulator: two event loops, one pipeline.
+"""The discrete-event serving simulator: one event loop, one pipeline.
 
 One :class:`ServeSim` run drives the staged request pipeline
 (:mod:`repro.serve.pipeline`) over four event kinds:
@@ -28,15 +28,9 @@ Determinism: all randomness flows from one ``random.Random(seed)``, the
 event queue breaks ties by insertion order, and every fleet scan is in
 fleet order — a fixed seed reproduces :class:`ServeStats` exactly.
 
-**Event loops.**  ``run(loop="heap")`` drives the reference binary
-heap; ``run(loop="fast")`` (the default, overridable via the
-``REPRO_SERVE_LOOP`` environment variable) drives the slotted event
-queue with batched same-timestamp processing
-(:class:`~repro.serve.events.SlottedEventQueue`).  Both loops call the
-*same* handler methods with the same arguments in the same order, so
-they are unobservable from each other: ``tests/test_serve_fastpath.py``
-asserts bit-identical stats digests across schedulers, workloads and
-pipelines, and DESIGN.md §15 gives the argument.
+**Event loop.**  :meth:`ServeSim.run` pops one event at a time off
+the binary heap (:class:`~repro.serve.events.EventQueue`) and hands it
+to its handler; DESIGN.md §15 records why this is the only loop.
 
 When a tracer is installed (:mod:`repro.obs`), each request leaves a
 queue-wait span (arrival → launch) and an execute span nested inside
@@ -48,7 +42,6 @@ per-device queue-depth gauge and a fleet-size gauge.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from random import Random
 from typing import Mapping, Sequence
@@ -65,7 +58,6 @@ from repro.serve.events import (
     FLUSH,
     TICK,
     EventQueue,
-    SlottedEventQueue,
 )
 from repro.serve.pipeline import ServePipeline, make_pipeline
 from repro.serve.profiles import LatencyProfile, profiles_for_platform
@@ -80,15 +72,6 @@ from repro.serve.stats import (
 )
 from repro.serve.tenants import DEFAULT_TENANT_NAME, Tenant, default_tenant
 from repro.serve.workload import Arrival, Workload
-
-#: Recognized event-loop names (fast = slotted queue, heap = reference).
-LOOPS = ("fast", "heap")
-
-
-def default_loop() -> str:
-    """The loop used when ``run(loop=None)``: ``$REPRO_SERVE_LOOP`` or fast."""
-    return os.environ.get("REPRO_SERVE_LOOP", "fast")
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -183,8 +166,8 @@ class ServeSim:
         return state
 
     def _setup_run(self) -> None:
-        """(Re)build all per-run state: a ServeSim can run repeatedly —
-        and under either event loop — from the same constructor args."""
+        """(Re)build all per-run state: a ServeSim can run repeatedly
+        from the same constructor args."""
         config = self.config
         self._depths: list[int] = []
         self.devices = []
@@ -233,36 +216,22 @@ class ServeSim:
         self._batch_seq = 0
 
     # ------------------------------------------------------------------
-    def run(self, loop: str | None = None) -> ServeStats:
-        """Drain the workload and return the aggregate statistics.
-
-        *loop* picks the event loop (``"fast"`` or ``"heap"``); None
-        defers to :func:`default_loop`.  Both loops produce
-        bit-identical statistics.
-        """
-        if loop is None:
-            loop = default_loop()
-        if loop not in LOOPS:
-            raise ValueError(
-                f"unknown event loop {loop!r}; available: {', '.join(LOOPS)}"
-            )
+    def run(self) -> ServeStats:
+        """Drain the workload and return the aggregate statistics."""
         rng = Random(self.config.seed)
         self._setup_run()
-        queue = SlottedEventQueue() if loop == "fast" else EventQueue()
+        queue = EventQueue()
         for arrival in self.workload.prime(rng):
             queue.push(arrival.time_ms, ARRIVAL, arrival)
             self._issued += 1
         scaler = self._autoscaler
         if scaler is not None and queue:
             queue.push(scaler.config.interval_ms, TICK, None)
-        if loop == "fast":
-            self._drain_fast(queue, rng)
-        else:
-            self._drain_heap(queue, rng)
+        self._drain_heap(queue, rng)
         return self._build_stats()
 
     def _drain_heap(self, queue: EventQueue, rng: Random) -> None:
-        """The reference loop: one heap pop per event."""
+        """The event loop: one heap pop per event."""
         while queue:
             event = queue.pop()
             kind = event.kind
@@ -278,41 +247,6 @@ class ServeSim:
                 self._on_flush(event.payload, now, queue)
             else:
                 self._on_tick(now, queue, len(queue))
-
-    def _drain_fast(self, queue: SlottedEventQueue, rng: Random) -> None:
-        """The fast loop: slotted buckets, same-timestamp batches.
-
-        Bit-identity with :meth:`_drain_heap` is by construction — the
-        slotted queue yields the identical ``(time_ms, seq)`` stream,
-        and each event goes through the *same* handler with the same
-        arguments.  The tick handler receives the number of events
-        still outstanding (queue plus the unprocessed tail of the
-        current batch), which in the heap loop is exactly ``len(queue)``
-        after the pop.
-        """
-        pop_same_time = queue.pop_same_time
-        on_arrival = self._on_arrival
-        on_complete = self._on_complete
-        on_flush = self._on_flush
-        on_tick = self._on_tick
-        while queue:
-            batch = pop_same_time()
-            now = batch[0].time_ms
-            remaining = len(batch)
-            for event in batch:
-                remaining -= 1
-                kind = event.kind
-                if kind == ARRIVAL:
-                    self._clock = now
-                    on_arrival(event.payload, now, queue, rng)
-                elif kind == COMPLETE:
-                    self._clock = now
-                    on_complete(event.payload, now, queue, rng)
-                elif kind == FLUSH:
-                    self._clock = now
-                    on_flush(event.payload, now, queue)
-                else:
-                    on_tick(now, queue, len(queue) + remaining)
 
     # ------------------------------------------------------------------
     def _push_arrival(self, arrival: Arrival | None, queue) -> None:
@@ -682,7 +616,6 @@ def run_serve(
     workload: Workload,
     config: ServeConfig | None = None,
     pipeline: ServePipeline | None = None,
-    loop: str | None = None,
 ) -> ServeStats:
     """Convenience wrapper: build a :class:`ServeSim` and run it."""
-    return ServeSim(fleet, profiles, workload, config, pipeline).run(loop)
+    return ServeSim(fleet, profiles, workload, config, pipeline).run()

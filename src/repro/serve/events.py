@@ -6,27 +6,17 @@ in the order they were pushed.  That tie-break is what makes the whole
 simulator reproducible — no dict-iteration or hash ordering ever
 decides who goes first.
 
-Two queue implementations share that contract:
+The engine runs on :class:`EventQueue`, one ``heappush``/``heappop``
+pair per event.
 
-* :class:`EventQueue` — the reference binary heap; obviously correct,
-  one ``heappush``/``heappop`` pair per event.
-* :class:`SlottedEventQueue` — the fast path: events land in coarse
-  time-slot buckets (a dict keyed by ``int(time_ms // slot_ms)``), a
-  small heap orders only the *bucket keys*, and each bucket is sorted
-  lazily in one C-speed Timsort pass when it becomes current.  Pushes
-  into the current (already sorted) bucket use ``bisect.insort``
-  bounded to the undrained suffix.  :meth:`SlottedEventQueue.
-  pop_same_time` additionally drains every event sharing the earliest
-  timestamp in one call, which lets the engine's fast loop batch
-  same-time processing.
-
-The slotted queue is exact, not approximate: it yields the identical
-``(time_ms, seq)`` sequence as the heap for any simulation that never
-schedules into the past (ours cannot — every push is at or after the
-event being processed).  ``tests/test_serve_events.py`` drives both
-with random schedules and asserts the streams match element-for-
-element, and the engine-level equivalence gate pins bit-identical
-stats digests end to end.
+:class:`SlottedEventQueue` is the retired slotted fast path: events
+land in coarse time-slot buckets (a dict keyed by ``int(time_ms //
+slot_ms)``), a small heap orders only the *bucket keys*, and each
+bucket is sorted lazily when it becomes current.  It is exact — it
+yields the identical ``(time_ms, seq)`` sequence as the heap for any
+simulation that never schedules into the past, which
+``tests/test_serve_events.py`` checks on random schedules — but the
+engine no longer uses it.
 """
 
 from __future__ import annotations
@@ -85,6 +75,10 @@ class EventQueue:
 
 class SlottedEventQueue:
     """Slot-bucketed event queue, order-identical to :class:`EventQueue`.
+
+    Unused by the engine; it remains only because the benchmark's layer
+    trace (``perfbench/layers.py``) wraps it by name, and it goes when
+    ``SmWave`` folds into ``VectorWave`` at the next benchmark revision.
 
     Requires the no-time-travel invariant: every ``push`` happens at a
     time at or after the most recently popped event's time (discrete-
@@ -154,8 +148,8 @@ class SlottedEventQueue:
         equal keys), so one contiguous slice of the current bucket is
         the complete batch.  Events pushed at that same timestamp
         *while the batch is being processed* insort after the cursor
-        and surface in the next call — exactly when the heap loop
-        would pop them.
+        and surface in the next call — exactly when a heap would pop
+        them.
         """
         pos = self._pos
         current = self._current

@@ -22,9 +22,9 @@ Orthogonally, the **autoscaler** observes the fleet at a fixed
 simulated cadence (tick events) and grows or drains it.
 
 :class:`ServePipeline` bundles the pluggable stages.  Policies must be
-deterministic — same inputs, same answers — because the equivalence
-gate runs the identical pipeline through both event loops and expects
-bit-identical statistics.  Policies may keep per-run state if they
+deterministic — same inputs, same answers — because rerunning one
+:class:`~repro.serve.engine.ServeSim` must reproduce bit-identical
+statistics.  Policies may keep per-run state if they
 expose ``reset()``, which the engine calls at the start of every run;
 schedulers may additionally expose ``attach(depths, max_queue)`` (see
 :mod:`repro.serve.schedulers`) to scan the fleet-shared depth array

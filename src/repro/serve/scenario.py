@@ -12,7 +12,6 @@ grammar (TOML shown; the JSON/dict form is the same tree):
     name = "day-in-the-life"       # required
     description = "..."            # optional
     seed = 0                       # optional (default 0)
-    loop = "fast"                  # optional: "fast" (default) or "heap"
 
     [fleet]
     devices = "gp102:4,tx1:2"      # required fleet spec (build_fleet)
@@ -46,7 +45,7 @@ grammar (TOML shown; the JSON/dict form is the same tree):
     networks = ["alexnet"]
 
 Every key is checked: unknown tables, unknown keys inside a table,
-unknown networks/platforms/schedulers/policies/loops and malformed
+unknown networks/platforms/schedulers/policies and malformed
 arrival specs all raise :class:`ScenarioError` naming the offending
 value.  ``trace`` arrivals resolve relative ``path`` values against
 the scenario file's directory.
@@ -62,7 +61,7 @@ from repro.core.suite import EXTENSION_NETWORKS, NETWORK_ORDER
 from repro.serve.admission import ADMISSION_POLICIES
 from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.devices import ServeDevice, build_fleet
-from repro.serve.engine import LOOPS, ServeConfig
+from repro.serve.engine import ServeConfig
 from repro.serve.pipeline import ServePipeline, make_pipeline
 from repro.serve.schedulers import SCHEDULERS
 from repro.serve.tenants import MultiTenantWorkload, Tenant
@@ -91,8 +90,6 @@ class ServeScenario:
     name: str
     description: str = ""
     seed: int = 0
-    #: Event loop to run ("fast" or "heap").
-    loop: str = "fast"
     #: Fleet spec string (``build_fleet`` grammar).
     fleet_spec: str = "gp102"
     #: Engine knobs (scheduler, batching, queue bound, fallback SLO).
@@ -148,7 +145,6 @@ class ServeScenario:
             "batch_timeout_ms": self.config.batch_timeout_ms,
             "max_queue": self.config.max_queue,
             "seed": self.seed,
-            "loop": self.loop,
             "tenants": ", ".join(
                 f"{t.name} (slo {t.slo_ms:g} ms, prio {t.priority})"
                 for t in self.tenants
@@ -317,10 +313,7 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ServeScenario:
     meta = data.get("scenario", {})
     if not isinstance(meta, dict) or not meta.get("name"):
         raise _fail("missing [scenario] name")
-    _check_keys(meta, ("name", "description", "seed", "loop"), "[scenario]")
-    loop = meta.get("loop", "fast")
-    if loop not in LOOPS:
-        raise _fail(f"loop must be one of {', '.join(LOOPS)}; got {loop!r}")
+    _check_keys(meta, ("name", "description", "seed"), "[scenario]")
     seed = _integer(meta, "seed", "[scenario]", 0)
 
     fleet_table = data.get("fleet", {})
@@ -417,7 +410,6 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ServeScenario:
         name=str(meta["name"]),
         description=str(meta.get("description", "")),
         seed=seed,
-        loop=loop,
         fleet_spec=fleet_spec,
         config=config,
         admission_options=admission_options,

@@ -22,11 +22,10 @@ roughly an order of magnitude cheaper at 100 devices.  The attached
 scan is *definitionally* equivalent to the object scan: ``depths[i]``
 equals ``devices[i].pending`` while the device accepts work and a
 beyond-capacity sentinel otherwise, so "skip full or drained" and the
-tie-breaks are the same predicate on the same numbers.  Both event
-loops attach the same way, so scheduling can never diverge between
-them.  The latency-aware policy has no flat-scan form (its estimate
-walks per-network batchers) and stays object-based — correct on every
-loop, but the documented slow choice for very large fleets.
+tie-breaks are the same predicate on the same numbers.  The
+latency-aware policy has no flat-scan form (its estimate walks
+per-network batchers) and stays object-based — correct, but the
+documented slow choice for very large fleets.
 """
 
 from __future__ import annotations

@@ -52,8 +52,8 @@ class DepthTimeline:
     recorder keeps every ``stride``-th sample and, whenever the buffer
     reaches ``2 * limit`` points, drops every other retained point and
     doubles the stride — a deterministic online downsample whose output
-    depends only on the sequence of ``record`` calls, so the heap and
-    slotted event loops (which make identical calls) stay bit-identical.
+    depends only on the sequence of ``record`` calls, so a rerun of the
+    same simulation records the identical timeline.
     """
 
     __slots__ = ("limit", "stride", "_count", "points")
@@ -371,8 +371,8 @@ class ServeStats:
 
         Two runs produce the same digest iff they produced identical
         statistics; the CI ``serve-scale`` job pins one scenario's
-        digest golden, and the loop-equivalence gate compares heap vs
-        slotted digests wholesale.
+        digest golden, and ``repro bench --serve`` checks every timed
+        run against the first.
         """
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")

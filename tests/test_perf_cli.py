@@ -4,6 +4,7 @@ and the small-sample statistics behind ``repro bench --compare``."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -242,26 +243,19 @@ class TestStats:
 
 
 class TestServeBench:
-    def test_run_serve_bench_payload_and_gate(self):
-        from repro.perf.serve_bench import gate_serve, run_serve_bench
+    def test_run_serve_bench_payload(self):
+        from repro.perf.serve_bench import run_serve_bench
 
         # Tiny synthetic scenario: fast enough for tier-1, but it still
-        # exercises the interleaved sampling, the digest cross-check
-        # and the gate plumbing end to end.
+        # exercises the timed reruns and their digest cross-check.
         payload = run_serve_bench(requests=1500, devices=3, runs=2, seed=1)
-        assert set(payload) >= {"serve-fast", "serve-heap"}
-        for key in ("serve-fast", "serve-heap"):
-            entry = payload[key]
-            assert entry["requests"] == 1500
-            assert entry["devices"] == 3
-            assert len(entry["samples"]["cold"]) == 2
-            assert entry["cold_s"] == min(entry["samples"]["cold"])
-            assert entry["digest"]
-        # The run itself asserts digest equality; double-check here.
-        assert payload["serve-fast"]["digest"] == payload["serve-heap"]["digest"]
-        verdict = gate_serve(payload, threshold=1000.0)
-        assert not verdict["slower"]
-        assert verdict["ratio"] > 0
+        assert list(payload) == ["serve-heap"]
+        entry = payload["serve-heap"]
+        assert entry["requests"] == 1500
+        assert entry["devices"] == 3
+        assert len(entry["samples"]["cold"]) == 2
+        assert entry["cold_s"] == min(entry["samples"]["cold"])
+        assert entry["digest"]
 
     def test_bench_serve_cli_writes_payload(self, capsys, tmp_path):
         out_path = tmp_path / "bench-serve.json"
@@ -272,4 +266,30 @@ class TestServeBench:
         ])
         assert exit_code == 0
         payload = json.loads(out_path.read_text())
-        assert "serve-fast" in payload and "serve-heap" in payload
+        assert list(payload) == ["serve-heap"]
+
+    @pytest.mark.parametrize("flag", ["--gate", "--repeats=3"])
+    def test_retired_bench_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--serve", flag])
+        assert exc.value.code == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+
+    def test_bench_serve_compares_against_two_loop_baseline(
+        self, capsys, tmp_path
+    ):
+        # A base commit that still timed both loops: only the shared
+        # serve-heap entry is compared, serve-fast is reported skipped.
+        slow = {"cold_s": 100.0, "samples": {"cold": [100.0] * 5}}
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({"serve-fast": slow, "serve-heap": slow}))
+        exit_code = main([
+            "bench", "--serve", "--serve-requests", "1000",
+            "--serve-devices", "2", "--runs", "1",
+            "--output", str(tmp_path / "head.json"),
+            "--compare", str(baseline),
+        ])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"serve-heap .* vs baseline", out)
+        assert "serve-fast" in out and "skipped" in out

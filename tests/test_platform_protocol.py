@@ -2,14 +2,12 @@
 
 Every registered platform — GPU, FPGA or NPU — must expose the same
 surface (``name``, ``kind``, ``memory_budget()``, ``compute_budget()``,
-``make_config()``); the deprecated pre-protocol lookups must still work
-behind a :class:`DeprecationWarning`.
+``make_config()``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -19,12 +17,10 @@ from repro.platforms import (
     KINDS,
     S2NPU,
     Platform,
-    get_platform,
     list_platforms,
     make_config,
     platform,
     register_platform,
-    resolve_platform,
     unregister_platform,
 )
 from repro.platforms.accel import AcceleratorConfig
@@ -114,38 +110,6 @@ class TestRegistration:
         for name in ("gp102", "s2npu", "zcu102"):
             with pytest.raises(ValueError, match="built-in"):
                 unregister_platform(name)
-
-
-class TestDeprecatedShims:
-    def test_get_platform_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="get_platform"):
-            config = get_platform("gp102")
-        assert config is GP102
-
-    def test_resolve_platform_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="resolve_platform"):
-            config = resolve_platform("gp102", l1_kb=128)
-        assert config.l1_size == 128 * 1024
-
-    def test_shims_reach_accelerators_too(self):
-        with pytest.warns(DeprecationWarning):
-            config = get_platform("s2npu")
-        assert config is S2NPU
-
-    def test_no_in_repo_callers_of_deprecated_api(self):
-        """The engine/campaign/serve layers must be migrated: resolving
-        a platform through the supported surface never warns."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.campaign.expand import CampaignPoint
-            from repro.serve.devices import build_fleet
-
-            build_fleet("gp102,s2npu")
-            point = CampaignPoint(
-                network="cifarnet", platform="s2npu", l1_kb=None,
-                scheduler="gto", fidelity="light", batch=1,
-            )
-            assert point.resolved_l1_kb() == 128
 
 
 class TestHeterogeneousFlow:

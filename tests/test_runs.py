@@ -10,6 +10,7 @@ ingredient change.
 from __future__ import annotations
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,28 @@ from repro.runs.registry import all_experiments
 from repro.runs.store import cache_stats, clear_cache, result_from_payload, result_to_payload
 
 LIGHT = SimOptions(max_trips=4, max_outer_trips=1, max_sim_blocks=1)
+
+
+def _writer_payload(writer: int) -> dict:
+    # Distinct lengths: a shorter payload written over a longer one in a
+    # shared file leaves the longer one's tail behind.
+    return {"writer": writer, "blob": [writer] * (20_000 * (writer + 1))}
+
+
+def _put_run_repeatedly(cache_dir: str, writer: int, rounds: int) -> None:
+    """Write one key *rounds* times, reading it back after each write;
+    exits non-zero if a read ever sees anything but a whole payload."""
+    store = ResultStore(cache_dir)
+    spec = RunSpec("gru", GP102, LIGHT)
+    path = store.run_path(spec)
+    for _ in range(rounds):
+        store.put_run(spec, _writer_payload(writer))
+        try:
+            seen = json.loads(path.read_text())
+        except (OSError, ValueError):
+            raise SystemExit(1)
+        if seen != _writer_payload(seen.get("writer", -1)):
+            raise SystemExit(1)
 
 
 class TestPlanner:
@@ -248,6 +271,36 @@ class TestStore:
         assert reread.get_run(spec) is None
         result = Executor(reread).run(spec)
         assert result.total_cycles > 0
+
+    def test_concurrent_writers_of_one_key_never_tear(self, tmp_path):
+        writers = 4
+        context = multiprocessing.get_context("spawn")
+        procs = [
+            context.Process(
+                target=_put_run_repeatedly, args=(str(tmp_path), writer, 40)
+            )
+            for writer in range(writers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(120)
+            assert proc.exitcode == 0
+        path = ResultStore(tmp_path).run_path(RunSpec("gru", GP102, LIGHT))
+        entry = json.loads(path.read_text())
+        assert entry in [_writer_payload(writer) for writer in range(writers)]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_mod.os, "replace", refuse)
+        store = ResultStore(tmp_path)
+        spec = RunSpec("gru", GP102, LIGHT)
+        store.put_run(spec, _writer_payload(0))  # best-effort: no raise
+        assert not store.run_path(spec).exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_engine_bump_misses_stale_run(self, tmp_path, monkeypatch):
         import repro.gpu.vector as vector

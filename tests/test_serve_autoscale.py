@@ -221,7 +221,7 @@ class TestEngineIntegration:
         # A burst well beyond one device's capacity, then silence.
         workload = PoissonWorkload(2000.0, 600, ["net"])
         sim = ServeSim(fleet, profiles, workload, config, pipeline)
-        stats = sim.run("fast")
+        stats = sim.run()
         scale = stats.autoscale
         assert scale["peak_devices"] > 1
         assert scale["peak_devices"] <= 6

@@ -86,6 +86,14 @@ class TestServeCli:
     def test_unknown_network_errors(self, capsys):
         assert main(["serve", "--networks", "transformer"]) == 2
 
+    @pytest.mark.parametrize("command", ["serve", "trace serve"])
+    def test_no_event_loop_flag(self, capsys, command):
+        # The engine has one event loop; nothing selects another.
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--loop", "heap"])
+        assert exc.value.code == 2
+        assert "--loop" in capsys.readouterr().err
+
     def test_unknown_scheduler_errors(self, capsys):
         assert main([
             "serve", "--networks", "gru", "--scheduler", "fifo",
@@ -160,17 +168,18 @@ class TestScenarioCli:
         assert {"total_j", "cost_per_request_j"} <= set(stats["energy"])
         assert sum(stats["shed_reasons"].values()) == stats["shed"]
 
-    def test_scenario_loop_override_is_equivalent(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
-        args = [
+    def test_scenario_with_loop_key_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "scenario.toml"
+        path.write_text(SCENARIO_TOML.replace(
+            'name = "cli-test"', 'name = "cli-test"\nloop = "fast"'
+        ))
+        assert main([
             "serve", "--scenario", str(path), "--light",
-            "--cache-dir", str(tmp_path), "--json",
-        ]
-        assert main(args + ["--loop", "heap"]) == 0
-        heap = json.loads(capsys.readouterr().out)
-        assert main(args + ["--loop", "fast"]) == 0
-        fast = json.loads(capsys.readouterr().out)
-        assert fast == heap
+            "--cache-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'loop' in [scenario]" in err
+        assert "Traceback" not in err
 
     def test_scenario_text_output_mentions_tenants(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)

@@ -10,28 +10,138 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platforms import make_config, register_platform, unregister_platform
 from repro.serve import (
+    AutoscaleConfig,
+    BurstyWorkload,
     ClosedLoopWorkload,
+    DiurnalWorkload,
+    MultiTenantWorkload,
     PoissonWorkload,
     ServeConfig,
     ServeDevice,
     ServeSim,
+    Tenant,
     TraceWorkload,
     build_fleet,
+    make_pipeline,
     run_serve,
 )
 from repro.serve.profiles import KernelTerm, LatencyProfile
 
 
 def make_profile(
-    network: str, platform: str, base_ms: float, per_item_ms: float = 0.0
+    network: str, platform: str, base_ms: float, per_item_ms: float = 0.0,
+    **energy: float,
 ) -> LatencyProfile:
     terms = (
         (KernelTerm(per_item_ms * 1e6, 1, 1, 1),) if per_item_ms else ()
     )
-    return LatencyProfile(network, platform, 1.0, base_ms * 1e6, terms)
+    return LatencyProfile(network, platform, 1.0, base_ms * 1e6, terms, **energy)
+
+
+def dev_fleet(tiny_gpu, devices: int) -> list[ServeDevice]:
+    return [
+        ServeDevice(f"dev#{i}", replace(tiny_gpu, name="Dev"))
+        for i in range(devices)
+    ]
+
+
+#: Energy coefficients of the determinism cases' profiles.
+ENERGY = {"dynamic_j": 0.02, "static_watts": 30.0}
+
+
+def dev_profiles(platform: str = "Dev") -> dict:
+    return {
+        ("net", platform): make_profile("net", platform, 2.0, 0.4, **ENERGY),
+        ("rnn", platform): make_profile("rnn", platform, 0.3, 0.05, **ENERGY),
+    }
+
+
+#: Request streams of the determinism matrix (a fresh one per case).
+WORKLOADS = {
+    "poisson": lambda: PoissonWorkload(800.0, 400, ["net", "rnn"]),
+    "bursty": lambda: BurstyWorkload(
+        1200.0, 400, ["net"], on_ms=20.0, off_ms=60.0, off_factor=0.2
+    ),
+    "diurnal": lambda: DiurnalWorkload(
+        900.0, 400, ["net", "rnn"], period_ms=200.0, segments=16
+    ),
+    "closed": lambda: ClosedLoopWorkload(8, 300, ["net"], think_ms=1.0),
+    "tenants": lambda: MultiTenantWorkload([
+        (Tenant("a", slo_ms=8.0),
+         DiurnalWorkload(500.0, 200, ["net"], period_ms=100.0, segments=8)),
+        (Tenant("b", slo_ms=30.0, priority=1),
+         PoissonWorkload(400.0, 150, ["rnn"])),
+        (Tenant("c", slo_ms=60.0, priority=2),
+         ClosedLoopWorkload(3, 100, ["net"], think_ms=2.0)),
+    ]),
+}
+SCHEDULERS = ("round-robin", "least-loaded", "latency-aware")
+
+
+def matrix_case(workload: str, scheduler: str):
+    def build(tiny_gpu):
+        config = ServeConfig(
+            slo_ms=10.0, max_batch=4, batch_timeout_ms=1.0,
+            max_queue=16, scheduler=scheduler, seed=5,
+        )
+        return (dev_fleet(tiny_gpu, 3), dev_profiles(), WORKLOADS[workload](),
+                config, None, lambda stats: True)
+    return build
+
+
+def full_pipeline_case(tiny_gpu):
+    # Scale-ups clone the gp102 template, which needs its own profile
+    # slice (keyed by the platform's canonical name).
+    profiles = {**dev_profiles(), **dev_profiles("GP102")}
+    config = ServeConfig(
+        slo_ms=10.0, max_batch=4, max_queue=8,
+        scheduler="least-loaded", seed=2, admission="slo-aware",
+    )
+    pipeline = make_pipeline(
+        admission="slo-aware",
+        autoscale=AutoscaleConfig(
+            template="gp102", min_devices=1, max_devices=5,
+            interval_ms=5.0, cooldown_ms=10.0,
+        ),
+    )
+    # The pipeline must actually scale, not just idle through.
+    return (dev_fleet(tiny_gpu, 3), profiles, WORKLOADS["tenants"](), config,
+            pipeline, lambda stats: bool(stats.autoscale["events"]))
+
+
+def single_device_case(tiny_gpu):
+    config = ServeConfig(
+        slo_ms=5.0, max_batch=1, max_queue=4,
+        scheduler="round-robin", seed=9, admission="slo-aware",
+    )
+    # An overloaded tiny queue: the shed paths must be covered.
+    return (dev_fleet(tiny_gpu, 1), dev_profiles(),
+            PoissonWorkload(600.0, 300, ["net"]), config, None,
+            lambda stats: stats.shed > 0)
+
+
+#: Scheduler x workload x pipeline cases for the same-seed property.
+SAME_SEED_CASES = {
+    f"{workload}-{scheduler}": matrix_case(workload, scheduler)
+    for workload in sorted(WORKLOADS) for scheduler in SCHEDULERS
+}
+SAME_SEED_CASES["full-pipeline"] = full_pipeline_case
+SAME_SEED_CASES["single-device"] = single_device_case
+
+
+def assert_reruns_identical(sim: ServeSim):
+    """Run *sim* twice; both runs must give identical statistics."""
+    first = sim.run()
+    second = sim.run()
+    # Whole payloads, not just digests, so a failure shows the field.
+    assert first.to_dict() == second.to_dict()
+    assert first.digest() == second.digest()
+    return first
 
 
 @pytest.fixture()
@@ -53,6 +163,43 @@ class TestDeterminism:
         first = run_serve(fleet, profiles, workload, config)
         second = run_serve(fleet, profiles, workload, config)
         assert first.to_dict() == second.to_dict()
+
+    @pytest.mark.parametrize("case", list(SAME_SEED_CASES))
+    def test_same_seed_identical_stats_matrix(self, tiny_gpu, case):
+        fleet, profiles, workload, config, pipeline, covered = (
+            SAME_SEED_CASES[case](tiny_gpu)
+        )
+        stats = assert_reruns_identical(
+            ServeSim(fleet, profiles, workload, config, pipeline)
+        )
+        assert covered(stats)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rps=st.floats(50.0, 2000.0),
+        requests=st.integers(1, 250),
+        max_batch=st.integers(1, 6),
+        max_queue=st.integers(1, 32),
+        timeout_ms=st.floats(0.0, 4.0),
+        scheduler=st.sampled_from(SCHEDULERS),
+        admission=st.sampled_from(["none", "slo-aware"]),
+        devices=st.integers(1, 4),
+    )
+    def test_same_seed_identical_stats_random_scenarios(
+        self, tiny_gpu, seed, rps, requests, max_batch, max_queue,
+        timeout_ms, scheduler, admission, devices,
+    ):
+        config = ServeConfig(
+            slo_ms=6.0, max_batch=max_batch, batch_timeout_ms=timeout_ms,
+            max_queue=max_queue, scheduler=scheduler, seed=seed,
+            admission=admission,
+        )
+        profiles = {("net", "Dev"): make_profile("net", "Dev", 1.0, 0.2, **ENERGY)}
+        workload = PoissonWorkload(rps, requests, ["net"])
+        assert_reruns_identical(
+            ServeSim(dev_fleet(tiny_gpu, devices), profiles, workload, config)
+        )
 
     def test_different_seed_differs(self, fast_slow_fleet):
         fleet, profiles = fast_slow_fleet

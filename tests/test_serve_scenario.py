@@ -51,12 +51,11 @@ class TestHappyPath:
     def test_defaults_flow_through(self):
         scenario = scenario_from_dict(minimal())
         assert scenario.seed == 0
-        assert scenario.loop == "fast"
         assert scenario.config.admission == "none"
 
     def test_full_scenario_round_trip(self):
         data = minimal()
-        data["scenario"].update(seed=9, loop="heap", description="d")
+        data["scenario"].update(seed=9, description="d")
         data["admission"] = {
             "policy": "slo-aware",
             "priority_fill": [1.0, 0.5],
@@ -69,7 +68,6 @@ class TestHappyPath:
         }
         scenario = scenario_from_dict(data)
         assert scenario.seed == 9
-        assert scenario.loop == "heap"
         assert scenario.config.admission == "slo-aware"
         assert scenario.autoscale.max_devices == 4
         described = scenario.describe()
@@ -126,9 +124,11 @@ class TestValidation:
             scenario_from_dict(data)
 
     def test_unknown_loop(self):
+        # The engine has one event loop; a scenario still picking one
+        # fails at load time, naming the key.
         data = minimal()
-        data["scenario"]["loop"] = "turbo"
-        with pytest.raises(ScenarioError, match="turbo"):
+        data["scenario"]["loop"] = "fast"
+        with pytest.raises(ScenarioError, match=r"unknown key 'loop' in \[scenario\]"):
             scenario_from_dict(data)
 
     def test_unknown_arrival_kind(self):
