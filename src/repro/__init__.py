@@ -25,7 +25,7 @@ Entry points::
 
     from repro.core import TangoSuite          # run the benchmarks
     from repro.gpu import simulate_network     # characterize them
-    python -m repro.harness.suite              # reproduce the paper
+    python -m repro harness run                # reproduce the paper
     python -m repro trace simulate alexnet     # record a Perfetto trace
 
 The names below are the stable cross-layer surface: the

@@ -35,28 +35,24 @@ cross product: every multi-valued axis must then have the same length
 (single-valued axes broadcast).  Objectives minimize by default; prefix
 with ``max:`` to maximize (e.g. ``"max:throughput_rps"``).
 
-Everything is validated at load time — unknown networks, platforms,
-schedulers, metrics, axes or filter axes raise :class:`CampaignError`
-with the offending value named — so a campaign that plans at all can
-execute.
+Everything is validated at load time, through the same
+:class:`repro.specfile.SpecReader` checks serve scenarios use: unknown
+tables, unknown keys in ``[campaign]``, ``[axes]``, ``[frontier]`` or a
+filter, ill-typed values, and unknown networks, platforms, schedulers,
+fidelities or metrics all raise :class:`CampaignError` naming the
+offending field — so a campaign that plans at all can execute.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.campaign.expand import AXIS_ORDER
 from repro.campaign.qor import QOR_METRICS
-from repro.core.suite import EXTENSION_NETWORKS, NETWORK_ORDER
+from repro.gpu.config import FIDELITIES
+from repro.gpu.scheduler import SCHEDULERS
 from repro.platforms import list_platforms
-
-#: Warp schedulers the simulator implements (Figures 15-16).
-SCHEDULERS = ("gto", "lrr", "tlv")
-
-#: Simulation fidelities (sampling budgets) a campaign may request.
-FIDELITIES = ("default", "light")
+from repro.specfile import SpecReader
 
 #: Default Pareto objectives: the paper's cycles/energy/footprint
 #: trade-off, batch-amortized.  All minimized.
@@ -65,6 +61,11 @@ DEFAULT_OBJECTIVES = ("latency_ms", "energy_per_inf_j", "footprint_kb")
 #: Expansion-size guard: campaigns beyond this are almost certainly a
 #: spec typo (e.g. a batch list pasted into l1_kb).
 MAX_POINTS = 1_000_000
+
+#: Keys each table of the grammar accepts; anything else is an error.
+TOP_LEVEL_KEYS = ("campaign", "axes", "filters", "frontier")
+CAMPAIGN_KEYS = ("name", "description", "mode", "fidelity")
+FRONTIER_KEYS = ("objectives", "tolerance")
 
 
 class CampaignError(ValueError):
@@ -104,6 +105,9 @@ def _fail(message: str) -> "CampaignError":
     return CampaignError(f"campaign spec: {message}")
 
 
+_spec = SpecReader(_fail)
+
+
 def _as_tuple(value) -> tuple:
     """A single scalar or a list, as a tuple."""
     if isinstance(value, (list, tuple)):
@@ -111,89 +115,51 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
-def _known_networks() -> tuple[str, ...]:
-    return tuple(NETWORK_ORDER) + tuple(EXTENSION_NETWORKS)
-
-
 def _validate_axis(name: str, values: tuple) -> tuple:
     """One axis' values: typed, known, non-empty, deduplicated."""
     if not values:
         raise _fail(f"axis {name!r} has no values")
+    what = f"[axes].{name}"
+    if name == "network":
+        out = _spec.networks(values, what)
+    elif name == "platform":
+        known = list_platforms()
+        out = tuple(
+            _spec.choice(_spec.string(value, what).lower(), what, known)
+            for value in values
+        )
+    elif name == "l1_kb":
+        out = tuple(
+            None if value == "default"
+            else _spec.integer(value, f"{what} (KB or 'default')", minimum=0)
+            for value in values
+        )
+    elif name == "scheduler":
+        out = tuple(_spec.choice(value, what, SCHEDULERS) for value in values)
+    elif name == "fidelity":
+        out = tuple(_spec.choice(value, what, FIDELITIES) for value in values)
+    else:  # batch; [axes] keys are checked against AXIS_ORDER
+        out = tuple(_spec.integer(value, what, minimum=1) for value in values)
+    # Every raw value is now a str or an int, so hashing is safe.
     if len(set(values)) != len(values):
         raise _fail(f"axis {name!r} repeats a value: {list(values)}")
-    if name == "network":
-        known = _known_networks()
-        for value in values:
-            if value not in known:
-                raise _fail(
-                    f"unknown network {value!r}; available: {', '.join(known)}"
-                )
-        return values
-    if name == "platform":
-        known = list_platforms()
-        out = []
-        for value in values:
-            if not isinstance(value, str) or value.lower() not in known:
-                raise _fail(
-                    f"unknown platform {value!r}; available: {', '.join(known)}"
-                )
-            out.append(value.lower())
-        return tuple(out)
-    if name == "l1_kb":
-        out = []
-        for value in values:
-            if value == "default":
-                out.append(None)
-            elif isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise _fail(
-                    f"l1_kb values must be KB integers >= 0 or 'default', "
-                    f"got {value!r}"
-                )
-            else:
-                out.append(value)
-        return tuple(out)
-    if name == "scheduler":
-        for value in values:
-            if value not in SCHEDULERS:
-                raise _fail(
-                    f"unknown scheduler {value!r}; "
-                    f"available: {', '.join(SCHEDULERS)}"
-                )
-        return values
-    if name == "fidelity":
-        for value in values:
-            if value not in FIDELITIES:
-                raise _fail(
-                    f"unknown fidelity {value!r}; "
-                    f"available: {', '.join(FIDELITIES)}"
-                )
-        return values
-    if name == "batch":
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise _fail(f"batch values must be integers >= 1, got {value!r}")
-        return values
-    raise _fail(f"unknown axis {name!r}; known axes: {', '.join(AXIS_ORDER)}")
+    return out
 
 
 def _validate_filters(raw_filters) -> tuple:
+    if not isinstance(raw_filters, (list, tuple)):
+        raise _fail(f"[[filters]] must be a list of tables, got {raw_filters!r}")
     rules = []
-    for rule in raw_filters:
-        if not isinstance(rule, dict) or not rule:
-            raise _fail(f"each [[filters]] entry must be a non-empty table, got {rule!r}")
-        clean = {}
-        for axis, values in rule.items():
-            if axis not in AXIS_ORDER:
-                raise _fail(
-                    f"filter names unknown axis {axis!r}; "
-                    f"known axes: {', '.join(AXIS_ORDER)}"
-                )
-            clean[axis] = _as_tuple(values)
-        rules.append(clean)
+    for index, rule in enumerate(raw_filters):
+        _spec.table(rule, f"filters[{index}]", AXIS_ORDER)
+        if not rule:
+            raise _fail(f"filters[{index}] must not be empty")
+        rules.append({axis: _as_tuple(values) for axis, values in rule.items()})
     return tuple(rules)
 
 
-def _parse_objective(raw: str) -> tuple[str, int]:
+def _parse_objective(raw) -> tuple[str, int]:
+    raw = _spec.string(raw, "[frontier].objectives entry")
     sign = 1
     metric = raw
     if ":" in raw:
@@ -204,39 +170,25 @@ def _parse_objective(raw: str) -> tuple[str, int]:
             raise _fail(
                 f"objective direction must be 'min' or 'max', got {raw!r}"
             )
-    if metric not in QOR_METRICS:
-        raise _fail(
-            f"unknown QoR metric {metric!r}; "
-            f"available: {', '.join(QOR_METRICS)}"
-        )
-    return metric, sign
+    return _spec.choice(metric, "QoR metric", QOR_METRICS), sign
 
 
 def campaign_from_dict(data: dict) -> CampaignSpec:
     """Validate a raw spec tree into a :class:`CampaignSpec`."""
-    if not isinstance(data, dict):
-        raise _fail(f"expected a table/dict at the top level, got {type(data).__name__}")
-    meta = data.get("campaign", {})
-    if not isinstance(meta, dict) or not meta.get("name"):
-        raise _fail("missing [campaign] name")
-    mode = meta.get("mode", "cartesian")
-    if mode not in ("cartesian", "zip"):
-        raise _fail(f"mode must be 'cartesian' or 'zip', got {mode!r}")
-    base_fidelity = meta.get("fidelity", "default")
-    if base_fidelity not in FIDELITIES:
-        raise _fail(
-            f"unknown fidelity {base_fidelity!r}; "
-            f"available: {', '.join(FIDELITIES)}"
-        )
+    _spec.table(data, "the campaign file", TOP_LEVEL_KEYS)
+    meta = _spec.table(data.get("campaign", {}), "[campaign]", CAMPAIGN_KEYS)
+    name = _spec.string(meta.get("name"), "[campaign].name")
+    description = _spec.string(
+        meta.get("description", ""), "[campaign].description", optional=True
+    )
+    mode = _spec.choice(
+        meta.get("mode", "cartesian"), "[campaign].mode", ("cartesian", "zip")
+    )
+    base_fidelity = _spec.choice(
+        meta.get("fidelity", "default"), "[campaign].fidelity", FIDELITIES
+    )
 
-    raw_axes = data.get("axes", {})
-    if not isinstance(raw_axes, dict):
-        raise _fail("[axes] must be a table of value lists")
-    unknown = [name for name in raw_axes if name not in AXIS_ORDER]
-    if unknown:
-        raise _fail(
-            f"unknown axis {unknown[0]!r}; known axes: {', '.join(AXIS_ORDER)}"
-        )
+    raw_axes = _spec.table(data.get("axes", {}), "[axes]", AXIS_ORDER)
     if "network" not in raw_axes:
         raise _fail("axis 'network' is required")
     defaults = {
@@ -247,17 +199,17 @@ def campaign_from_dict(data: dict) -> CampaignSpec:
         "batch": (1,),
     }
     axes = {}
-    for name in AXIS_ORDER:
-        if name in raw_axes:
-            axes[name] = _validate_axis(name, _as_tuple(raw_axes[name]))
+    for axis in AXIS_ORDER:
+        if axis in raw_axes:
+            axes[axis] = _validate_axis(axis, _as_tuple(raw_axes[axis]))
         else:
-            axes[name] = defaults[name]
+            axes[axis] = defaults[axis]
 
     if mode == "zip":
         lengths = {len(values) for values in axes.values() if len(values) > 1}
         if len(lengths) > 1:
             detail = ", ".join(
-                f"{name}={len(values)}" for name, values in axes.items()
+                f"{axis}={len(values)}" for axis, values in axes.items()
             )
             raise _fail(f"zip mode needs equal-length axes, got {detail}")
         size = lengths.pop() if lengths else 1
@@ -270,20 +222,20 @@ def campaign_from_dict(data: dict) -> CampaignSpec:
 
     filters = _validate_filters(data.get("filters", ()))
 
-    frontier = data.get("frontier", {})
-    if not isinstance(frontier, dict):
-        raise _fail("[frontier] must be a table")
+    frontier = _spec.table(data.get("frontier", {}), "[frontier]", FRONTIER_KEYS)
     raw_objectives = frontier.get("objectives", list(DEFAULT_OBJECTIVES))
     objectives = tuple(_parse_objective(raw) for raw in _as_tuple(raw_objectives))
     if not objectives:
         raise _fail("frontier objectives must not be empty")
-    tolerance = frontier.get("tolerance", 0.02)
-    if not isinstance(tolerance, (int, float)) or tolerance < 0:
+    tolerance = _spec.number(
+        frontier.get("tolerance", 0.02), "[frontier].tolerance"
+    )
+    if tolerance < 0:
         raise _fail(f"frontier tolerance must be >= 0, got {tolerance!r}")
 
     return CampaignSpec(
-        name=str(meta["name"]),
-        description=str(meta.get("description", "")),
+        name=name,
+        description=description,
         mode=mode,
         axes=axes,
         filters=filters,
@@ -295,46 +247,8 @@ def campaign_from_dict(data: dict) -> CampaignSpec:
 def load_campaign(source) -> CampaignSpec:
     """Load a campaign from a TOML/JSON file path or a raw dict.
 
-    File format follows the suffix (``.toml`` / ``.json``); anything
-    else is tried as TOML first, then JSON.  Parse errors, IO errors
+    Reading follows :meth:`repro.specfile.SpecReader.read`; IO, parse
     and validation errors all surface as :class:`CampaignError`.
     """
-    if isinstance(source, dict):
-        return campaign_from_dict(source)
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        parsers = (_parse_json,)
-    elif suffix == ".toml":
-        parsers = (_parse_toml,)
-    else:
-        parsers = (_parse_toml, _parse_json)
-    errors = []
-    for parse in parsers:
-        try:
-            return campaign_from_dict(parse(text))
-        except CampaignError:
-            raise
-        except ValueError as exc:
-            errors.append(str(exc))
-    raise _fail(f"cannot parse {path}: {'; '.join(errors)}")
-
-
-def _parse_toml(text: str) -> dict:
-    import tomllib
-
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ValueError(f"TOML: {exc}") from exc
-
-
-def _parse_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"JSON: {exc}") from exc
+    data, _ = _spec.read(source)
+    return campaign_from_dict(data)

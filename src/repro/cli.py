@@ -66,10 +66,9 @@ Subcommands:
 
 ``repro cache``
     Inspect (``stats``) or empty (``clear``) the unified result store —
-    kernel entries and whole-network run entries in one directory
-    (plus any stale pre-unification ``.tango_cache/``).  ``cache
-    stats`` breaks entries and bytes down by the engine version that
-    wrote them; ``cache clear --engine VER`` prunes only that
+    kernel entries and whole-network run entries in one directory.
+    ``cache stats`` breaks entries and bytes down by the engine version
+    that wrote them; ``cache clear --engine VER`` prunes only that
     version's (e.g. stale) entries.
 
 ``repro networks``
@@ -92,19 +91,27 @@ import sys
 from pathlib import Path
 
 from repro.analysis import Severity, analyze_network
-from repro.core.suite import BENCHMARK_INFO, EXTENSION_NETWORKS, NETWORK_ORDER
+from repro.core.suite import (
+    BENCHMARK_INFO,
+    EXTENSION_NETWORKS,
+    NETWORK_ORDER,
+    SUITE_NETWORKS,
+)
+from repro.gpu.config import FIDELITIES
+from repro.gpu.engine import ENGINES
+from repro.gpu.scheduler import SCHEDULERS as WARP_SCHEDULERS
 from repro.perf.serve_bench import DEVICES as SERVE_BENCH_DEVICES
 from repro.perf.serve_bench import REQUESTS as SERVE_BENCH_REQUESTS
+from repro.serve.admission import ADMISSION_POLICIES
 
 
 def _check_networks(names: list[str]) -> int | None:
     """Exit code 2 and a message on unknown names, else None."""
-    known = set(NETWORK_ORDER) | set(EXTENSION_NETWORKS)
-    unknown = [n for n in names if n not in known]
+    unknown = [n for n in names if n not in SUITE_NETWORKS]
     if unknown:
         print(
             f"unknown network(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(known))}",
+            f"available: {', '.join(sorted(SUITE_NETWORKS))}",
             file=sys.stderr,
         )
         return 2
@@ -114,7 +121,7 @@ def _check_networks(names: list[str]) -> int | None:
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Extension networks are first-class: the default lint sweep covers
     # the paper's seven plus every extension.
-    names = args.networks or list(NETWORK_ORDER) + list(EXTENSION_NETWORKS)
+    names = args.networks or list(SUITE_NETWORKS)
     err = _check_networks(names)
     if err is not None:
         return err
@@ -619,9 +626,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 print(f"dedup:     {dedup['kernels_simulated']} kernels "
                       f"simulated for {dedup['kernels_requested']} requested "
                       f"({dedup['replicated']} deduplicated)")
-            if stats["legacy_tango_entries"]:
-                print(f"legacy .tango_cache entries: "
-                      f"{stats['legacy_tango_entries']} (run 'repro cache clear')")
     else:
         engine = getattr(args, "engine", None)
         removed = clear_cache(args.cache_dir, engine=engine)
@@ -650,7 +654,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = load_campaign(args.spec)
-    except (CampaignError, OSError) as exc:
+    except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -786,7 +790,7 @@ def _cmd_networks(args: argparse.Namespace) -> int:
             "kind": BENCHMARK_INFO[name].kind,
             "extension": name in EXTENSION_NETWORKS,
         }
-        for name in NETWORK_ORDER + EXTENSION_NETWORKS
+        for name in SUITE_NETWORKS
     ]
     if args.json:
         import json
@@ -901,10 +905,10 @@ def _add_sim_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--platform", default="gp102",
                             help="platform model (default: gp102)")
     sub_parser.add_argument("--scheduler", default="gto",
-                            choices=("gto", "lrr", "tlv"),
+                            choices=WARP_SCHEDULERS,
                             help="warp scheduler (default: gto)")
     sub_parser.add_argument("--engine", default=None,
-                            choices=("seed", "fast", "vector"),
+                            choices=ENGINES,
                             help="simulation engine (default: $REPRO_ENGINE "
                                  "or vector); all three are bit-identical")
     _add_fidelity_args(sub_parser)
@@ -912,7 +916,7 @@ def _add_sim_args(sub_parser: argparse.ArgumentParser) -> None:
 
 def _add_fidelity_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--fidelity", default="default",
-                            choices=("default", "light"),
+                            choices=FIDELITIES,
                             help="simulation sampling fidelity: 'light' "
                                  "is fast for smoke tests but not "
                                  "comparable to default runs")
@@ -955,7 +959,7 @@ def _add_serve_args(sub_parser: argparse.ArgumentParser) -> None:
                                  "(round-robin, least-loaded, latency-aware; "
                                  "default: latency-aware)")
     sub_parser.add_argument("--admission", default="none",
-                            choices=("none", "slo-aware"),
+                            choices=tuple(ADMISSION_POLICIES),
                             help="admission policy: 'slo-aware' sheds "
                                  "low-priority work under load and "
                                  "SLO-infeasible placements (default: none)")
@@ -979,7 +983,7 @@ def _add_serve_args(sub_parser: argparse.ArgumentParser) -> None:
                             help="bursty: quiet-window rate factor "
                                  "(default: 0.1)")
     sub_parser.add_argument("--sim-scheduler", default="gto",
-                            choices=("gto", "lrr", "tlv"),
+                            choices=WARP_SCHEDULERS,
                             help="warp scheduler used when building latency "
                                  "profiles (default: gto)")
     _add_fidelity_args(sub_parser)

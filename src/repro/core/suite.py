@@ -93,6 +93,9 @@ NETWORK_ORDER = ("gru", "lstm", "cifarnet", "alexnet", "squeezenet", "resnet", "
 #: characterizable, excluded from the paper-figure harness).
 EXTENSION_NETWORKS = ("mobilenet",)
 
+#: Every runnable network: the paper's seven, then the extensions.
+SUITE_NETWORKS = NETWORK_ORDER + EXTENSION_NETWORKS
+
 #: The CNNs characterized in the per-layer-type figures (Figs 1, 4, 13, 14).
 CNN_BREAKDOWN_ORDER = ("cifarnet", "alexnet", "squeezenet", "resnet")
 

@@ -70,6 +70,10 @@ class GpuConfig:
         return replace(self, l1_size=l1_size)
 
 
+#: Simulation fidelities: ``default`` sampling, or :meth:`SimOptions.light`.
+FIDELITIES = ("default", "light")
+
+
 @dataclass(frozen=True)
 class SimOptions:
     """Knobs of one simulation run."""
@@ -95,8 +99,3 @@ class SimOptions:
     def light(self) -> "SimOptions":
         """A cheap variant for tests: heavier sampling, same behaviour."""
         return replace(self, max_trips=6, max_outer_trips=1, max_sim_blocks=2)
-
-
-def expand_budget(options: SimOptions, has_nested_loop: bool) -> int | None:
-    """Trip budget for a loop: outer loops get the smaller budget."""
-    return options.max_outer_trips if has_nested_loop else options.max_trips

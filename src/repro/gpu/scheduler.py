@@ -33,6 +33,11 @@ from typing import Iterator
 from repro.gpu.warp import Warp
 
 
+#: Warp schedulers the simulator implements, in figure order (Figures
+#: 15-16 iterate it; GTO is GPGPU-Sim's default).
+SCHEDULERS = ("gto", "lrr", "tlv")
+
+
 class Scheduler:
     """Base scheduler interface over a fixed list of resident warps."""
 
@@ -143,4 +148,6 @@ def make_scheduler(name: str, warps: list[Warp], tlv_group: int = 8) -> Schedule
         return LrrScheduler(warps)
     if name == "tlv":
         return TlvScheduler(warps, tlv_group)
-    raise ValueError(f"unknown scheduler {name!r} (expected gto, lrr or tlv)")
+    raise ValueError(
+        f"unknown scheduler {name!r} (expected one of {', '.join(SCHEDULERS)})"
+    )

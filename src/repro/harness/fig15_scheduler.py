@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.harness.common import ALL_NETWORKS, SCHEDULERS, display, sim_platform
+from repro.gpu.scheduler import SCHEDULERS
+from repro.harness.common import ALL_NETWORKS, display, sim_platform
 from repro.harness.report import Check
 from repro.runs import Experiment, RunSpec, RunView
 from repro.runs.registry import register

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.harness.common import SCHEDULERS, sim_platform
+from repro.gpu.scheduler import SCHEDULERS
+from repro.harness.common import sim_platform
 from repro.harness.report import Check
 from repro.runs import Experiment, RunSpec, RunView
 from repro.runs.registry import register

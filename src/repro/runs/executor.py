@@ -102,10 +102,11 @@ class Executor:
     def run(self, spec: RunSpec, refresh: bool = False) -> StoredNetworkResult:
         """Run (or load) one network simulation.
 
-        ``refresh=True`` skips the memory and store reads and simulates
-        unconditionally, re-storing the result — the ``repro trace``
-        CLI uses it so a trace always contains live GPU spans even when
-        the run is already cached.
+        ``refresh=True`` skips the memory and store reads — the run
+        entry and the kernel layer alike — and simulates every kernel,
+        re-storing the run entry.  The ``repro trace`` CLI uses it so a
+        trace always contains live GPU spans (stalls and warps included)
+        even when the run is already cached.
         """
         tracer = get_tracer()
         key = spec.key()
@@ -136,7 +137,7 @@ class Executor:
         if self.verbose:
             print(f"[run] simulating {spec.describe()}", flush=True)
         sim_start = tracer.wall()
-        payload = _simulate_spec(spec, self.store)
+        payload = _simulate_spec(spec, None if refresh else self.store)
         if tracer.enabled:
             tracer.span(
                 f"simulate {spec.network}", "run", WALL_S,
@@ -296,12 +297,6 @@ def _simulate_spec(spec: RunSpec, store: ResultStore | None) -> dict:
     cache = store.kernels if store is not None else None
     live = simulate_network(spec.network, spec.config, spec.options, cache=cache)
     return result_to_payload(live)
-
-
-def _simulate_spec_worker(spec: RunSpec, cache_dir) -> dict:
-    """Module-level (picklable) worker: simulate via a private store."""
-    store = ResultStore(cache_dir) if cache_dir is not None else None
-    return _simulate_spec(spec, store)
 
 
 def _simulate_chunk_worker(specs: Sequence[RunSpec], cache_dir) -> list[tuple]:

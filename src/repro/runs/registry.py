@@ -4,8 +4,7 @@ Experiment modules (``repro.harness.tables`` and the sixteen
 ``repro.harness.figNN_*`` modules) call :func:`register` at import time;
 :func:`all_experiments` imports them all and returns the registry in
 paper order.  The registry is the one source of truth behind
-``python -m repro.harness.suite``, ``repro harness list|run`` and the
-planner's full-suite matrix.
+``repro harness list|run`` and the planner's full-suite matrix.
 """
 
 from __future__ import annotations

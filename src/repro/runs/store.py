@@ -12,9 +12,7 @@ simulation result the project produces, at two granularities:
 * **network-run entries** — one JSON file per
   :class:`~repro.runs.spec.RunSpec` key under the ``runs/``
   subdirectory, written by :class:`~repro.runs.executor.Executor`.
-  These absorb the cache half of the former ``harness/runner.py``
-  (the separate ``.tango_cache/`` directory is gone; ``repro cache
-  clear`` removes any stale one left by older checkouts).
+  These absorb the cache half of the former ``harness/runner.py``.
 
 Both layers share the invalidation contract: every field of the frozen
 config/options dataclasses plus the active engine's version string
@@ -50,11 +48,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Subdirectory of the store holding whole-network run entries.
 RUNS_SUBDIR = "runs"
-
-#: The pre-unification network-result cache directory; dead since the
-#: planner/executor refactor but possibly still on disk in old working
-#: trees.  ``cache stats`` reports it and ``cache clear`` removes it.
-LEGACY_TANGO_DIR = ".tango_cache"
 
 
 def default_cache_dir() -> Path:
@@ -392,9 +385,8 @@ def cache_stats(cache_dir: str | Path | None = None) -> dict:
     """Entry count / byte size summary of the whole unified store.
 
     Covers both layers — kernel entries in the store root and network
-    runs under ``runs/`` — plus any stale pre-unification
-    ``.tango_cache/`` directory in the working directory.  A missing
-    directory reads as an empty cache, never an error.
+    runs under ``runs/``.  A missing directory reads as an empty cache,
+    never an error.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     kernel_entries = 0
@@ -433,8 +425,6 @@ def cache_stats(cache_dir: str | Path | None = None) -> dict:
     if directory.is_dir():
         kernel_entries = scan(sorted(directory.glob("*.json")))
         run_entries = scan(sorted((directory / RUNS_SUBDIR).glob("*.json")))
-    legacy = Path(LEGACY_TANGO_DIR)
-    legacy_entries = len(list(legacy.glob("*.json"))) if legacy.is_dir() else 0
     return {
         "dir": str(directory),
         "entries": kernel_entries + run_entries,
@@ -448,7 +438,6 @@ def cache_stats(cache_dir: str | Path | None = None) -> dict:
             "kernels_simulated": kernels_simulated,
             "replicated": kernels_requested - kernels_simulated,
         },
-        "legacy_tango_entries": legacy_entries,
     }
 
 
@@ -457,8 +446,8 @@ def clear_cache(
 ) -> int:
     """Delete store entries; returns the number removed.
 
-    With ``engine=None`` everything goes — both layers, stray ``.tmp``
-    files and any stale ``.tango_cache/``.  With an engine version
+    With ``engine=None`` everything goes — both layers and stray
+    ``.tmp`` files.  With an engine version
     string (see ``repro cache stats`` for the versions present) only
     entries written by that engine are pruned, which is how a store
     that has accumulated results from several engine revisions is
@@ -467,8 +456,7 @@ def clear_cache(
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     removed = 0
-    roots = [directory, directory / RUNS_SUBDIR, Path(LEGACY_TANGO_DIR)]
-    for root in roots:
+    for root in (directory, directory / RUNS_SUBDIR):
         if not root.is_dir():
             continue
         targets = list(root.glob("*.json"))
@@ -483,11 +471,10 @@ def clear_cache(
             except OSError:
                 pass
     if engine is None:
-        for root in (directory / RUNS_SUBDIR, Path(LEGACY_TANGO_DIR)):
-            try:
-                root.rmdir()
-            except OSError:
-                pass
+        try:
+            (directory / RUNS_SUBDIR).rmdir()
+        except OSError:
+            pass
     return removed
 
 

@@ -9,8 +9,14 @@ campaign-smoke job instead.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignError,
@@ -21,8 +27,10 @@ from repro.campaign import (
     point_spec,
     run_campaign,
 )
-from repro.campaign.expand import CampaignPoint, point_options
+from repro.campaign.expand import AXIS_ORDER, CampaignPoint, point_options
+from repro.campaign.spec import CAMPAIGN_KEYS, FRONTIER_KEYS, TOP_LEVEL_KEYS
 from repro.runs import Executor, ResultStore
+from tests.spec_trees import mutations, tables
 
 
 def spec_dict(**over) -> dict:
@@ -300,3 +308,89 @@ class TestRunCampaign:
         assert doc["unique_runs"] == 1
         assert doc["frontier"]["points"]
         assert doc["execution"]["failed"] == {}
+
+
+#: Every key of the grammar plus near-miss typos, and the words its
+#: valid values are made of.
+GRAMMAR_KEYS = (
+    TOP_LEVEL_KEYS + CAMPAIGN_KEYS + AXIS_ORDER + FRONTIER_KEYS
+    + ("fidelty", "frontiers", "objective")
+)
+GRAMMAR_WORDS = (
+    "gru", "cifarnet", "gp102", "zcu102", "gto", "lrr", "default", "light",
+    "cartesian", "zip", "min:latency_ms", "max:throughput_rps", "energy_j",
+)
+#: A valid spec touching every table and axis (zip mode: equal lengths).
+FULL_SPEC = {
+    "campaign": {
+        "name": "full", "description": "d", "mode": "zip", "fidelity": "light",
+    },
+    "axes": {
+        "network": ["gru", "cifarnet"],
+        "platform": ["gp102", "zcu102"],
+        "l1_kb": ["default", 64],
+        "scheduler": ["gto", "lrr"],
+        "fidelity": ["light", "default"],
+        "batch": [1, 4],
+    },
+    "filters": [{"network": ["gru"], "batch": [4]}],
+    "frontier": {
+        "objectives": ["min:latency_ms", "max:throughput_rps"],
+        "tolerance": 0.05,
+    },
+}
+
+#: Inputs that crashed the loader or were silently accepted: each must
+#: now raise CampaignError naming the field.  ``None`` = top level.
+MALFORMED = [
+    ("axes", "network", [["gru"]]),
+    ("axes", "batch", [{"a": 1}]),
+    ("axes", "platform", [{"a": 1}]),
+    ("frontier", "objectives", [3]),
+    (None, "filters", 3),
+    ("campaign", "fidelty", "light"),
+    (None, "frontiers", {"objectives": ["min:latency_ms"]}),
+    ("frontier", "objective", ["min:latency_ms"]),
+    ("frontier", "tolerance", True),
+]
+
+
+class TestLoaderRobustness:
+    def test_full_spec_is_valid(self):
+        spec = campaign_from_dict(FULL_SPEC)
+        assert spec.axis("l1_kb") == (None, 64)
+        assert spec.objectives == (("latency_ms", 1), ("throughput_rps", -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        tables(GRAMMAR_KEYS, GRAMMAR_WORDS),
+        mutations(FULL_SPEC, GRAMMAR_KEYS, GRAMMAR_WORDS),
+    ))
+    def test_any_tree_loads_or_raises_campaign_error(self, data):
+        try:
+            campaign_from_dict(data)
+        except CampaignError:
+            pass
+
+    @pytest.mark.parametrize(
+        "table, key, value", MALFORMED,
+        ids=[f"{table or 'top'}.{key}" for table, key, _ in MALFORMED],
+    )
+    def test_malformed_field_raises_campaign_error(self, table, key, value):
+        data = spec_dict()
+        (data if table is None else data.setdefault(table, {}))[key] = value
+        with pytest.raises(CampaignError, match=key):
+            campaign_from_dict(data)
+
+    def test_cli_list_rejects_malformed_file_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text('[campaign]\nname = "x"\n[axes]\nnetwork = [["gru"]]\n')
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "list", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "campaign spec:" in proc.stderr
+        assert "Traceback" not in proc.stderr

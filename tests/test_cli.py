@@ -1,15 +1,16 @@
-"""Tests for the harness CLI (``python -m repro.harness.suite``)."""
+"""Tests for the harness front door (``repro harness run``) and ``run_all``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.suite import main, run_all
+from repro.cli import main
+from repro.harness.suite import run_all
 
 
 class TestCli:
     def test_selected_analytic_experiments(self, capsys):
-        exit_code = main(["table2", "fig09", "--no-cache"])
+        exit_code = main(["harness", "run", "table2", "fig09", "--no-cache"])
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "table2" in out and "fig09" in out

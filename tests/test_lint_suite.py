@@ -14,11 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import Severity, analyze_network
-from repro.core.suite import EXTENSION_NETWORKS, NETWORK_ORDER
+from repro.core.suite import SUITE_NETWORKS
 
 
 @pytest.mark.lint_suite
-@pytest.mark.parametrize("network", NETWORK_ORDER + EXTENSION_NETWORKS)
+@pytest.mark.parametrize("network", SUITE_NETWORKS)
 def test_network_lints_error_clean(network):
     report = analyze_network(network)
     assert report.kernel_count > 0

@@ -248,18 +248,13 @@ class TestStore:
         )
         assert rerun.fresh == 0
 
-    def test_clear_covers_runs_and_legacy_dir(self, tmp_path, monkeypatch):
-        # The pre-unification .tango_cache lived in the working directory.
-        monkeypatch.chdir(tmp_path)
+    def test_clear_covers_runs_dir(self, tmp_path):
         store = ResultStore(tmp_path)
         Executor(store).run(RunSpec("gru", GP102, LIGHT))
-        legacy = tmp_path / store_mod.LEGACY_TANGO_DIR
-        legacy.mkdir()
-        (legacy / "stale.json").write_text("{}")
-        assert cache_stats(tmp_path)["legacy_tango_entries"] == 1
+        assert cache_stats(tmp_path)["run_entries"] == 1
         removed = clear_cache(tmp_path)
         assert removed > 0
-        assert not legacy.exists()
+        assert not (tmp_path / "runs").exists()
         assert cache_stats(tmp_path)["entries"] == 0
 
     def test_corrupt_run_entry_reads_as_miss(self, tmp_path):

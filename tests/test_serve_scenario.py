@@ -8,11 +8,26 @@ unknown key, unknown network, or out-of-range knob is a
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import ScenarioError, load_scenario
-from repro.serve.scenario import scenario_from_dict
+from repro.serve.autoscale import AutoscaleConfig
+from repro.serve.scenario import (
+    SCENARIO_KEYS,
+    SERVING_FIELDS,
+    TENANT_KEYS,
+    TOP_LEVEL_KEYS,
+    scenario_from_dict,
+)
+from tests.spec_trees import mutations, tables
 
 
 def minimal(**overrides):
@@ -230,3 +245,123 @@ class TestFileLoading:
         smoke = load_scenario(examples / "serve_scale.toml")
         assert len(smoke.fleet()) == 20
         assert smoke.autoscale is not None
+
+
+#: Every key of the grammar plus a near-miss typo, and the words its
+#: valid values are made of (trace files live in ``arrivals_dir``).
+GRAMMAR_KEYS = (
+    TOP_LEVEL_KEYS + SCENARIO_KEYS + TENANT_KEYS
+    + ("devices", "scheduler", *SERVING_FIELDS)
+    + ("policy", "priority_fill", "slo_slack")
+    + tuple(knob.name for knob in fields(AutoscaleConfig))
+    + ("kind", "path", "requests", "networks", "weights", "rps", "base_rps",
+       "on_ms", "off_ms", "off_factor", "period_ms", "amplitude", "phase_ms",
+       "segments", "clients", "think_ms", "serv1ng")
+)
+GRAMMAR_WORDS = (
+    "t", "gp102", "gp102:2", "tx1", "gru", "alexnet", "poisson", "bursty",
+    "diurnal", "closed", "trace", "least-loaded", "latency-aware",
+    "slo-aware", "none", "good.json", "rows.json", "table.json",
+)
+
+
+def _tenant(name, arrival):
+    return {"name": name, "slo_ms": 30.0, "priority": 1, "weight": 1.0,
+            "arrival": arrival}
+
+
+#: A valid scenario touching every table and every arrival kind.
+FULL_SCENARIO = {
+    "scenario": {"name": "full", "description": "d", "seed": 3},
+    "fleet": {"devices": "gp102:2"},
+    "serving": {"scheduler": "least-loaded", "max_batch": 4,
+                "batch_timeout_ms": 1.0, "max_queue": 16, "slo_ms": 30.0},
+    "admission": {"policy": "slo-aware", "priority_fill": [1.0, 0.5],
+                  "slo_slack": 1.0},
+    "autoscale": {"template": "gp102", "min_devices": 1, "max_devices": 3},
+    "tenants": [
+        _tenant("p", {"kind": "poisson", "rps": 50.0, "requests": 5,
+                      "networks": ["gru", "alexnet"], "weights": [1.0, 2.0]}),
+        _tenant("b", {"kind": "bursty", "rps": 50.0, "requests": 5,
+                      "networks": ["gru"], "on_ms": 10.0, "off_ms": 20.0,
+                      "off_factor": 0.5}),
+        _tenant("d", {"kind": "diurnal", "base_rps": 50.0, "requests": 5,
+                      "networks": ["gru"], "period_ms": 1000.0,
+                      "amplitude": 0.5, "phase_ms": 0.0, "segments": 4}),
+        _tenant("c", {"kind": "closed", "clients": 2, "requests": 5,
+                      "networks": ["gru"], "think_ms": 1.0}),
+        _tenant("r", {"kind": "trace", "path": "good.json"}),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def arrivals_dir(tmp_path_factory):
+    """Trace files the trees may name: one valid, two malformed."""
+    root = tmp_path_factory.mktemp("arrivals")
+    (root / "good.json").write_text(json.dumps([{"time_ms": 0.0, "network": "gru"}]))
+    (root / "rows.json").write_text("[1, 2]")
+    (root / "table.json").write_text(json.dumps({"requests": 3}))
+    return root
+
+
+def _set(data: dict, path: tuple, value) -> dict:
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+#: Inputs that crashed the loader: each must now raise ScenarioError
+#: naming the field.
+MALFORMED = [
+    (("tenants", 0, "arrival", "kind"), ["poisson"]),
+    (("serving", "scheduler"), ["x"]),
+    (("admission",), {"policy": ["x"]}),
+    (("autoscale",), {"template": 5}),
+]
+
+
+class TestLoaderRobustness:
+    def test_full_scenario_is_valid(self, arrivals_dir):
+        scenario = scenario_from_dict(FULL_SCENARIO, arrivals_dir)
+        assert [t.name for t in scenario.tenants] == ["p", "b", "d", "c", "r"]
+        assert scenario.autoscale.max_devices == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(
+        tables(GRAMMAR_KEYS, GRAMMAR_WORDS),
+        mutations(FULL_SCENARIO, GRAMMAR_KEYS, GRAMMAR_WORDS),
+    ))
+    def test_any_tree_loads_or_raises_scenario_error(self, arrivals_dir, data):
+        try:
+            scenario_from_dict(data, arrivals_dir)
+        except ScenarioError:
+            pass
+
+    @pytest.mark.parametrize(
+        "path, value", MALFORMED,
+        ids=[".".join(map(str, path)) for path, _ in MALFORMED],
+    )
+    def test_malformed_field_raises_scenario_error(self, path, value):
+        data = _set(minimal(), path, value)
+        field_name = str(path[-1]) if len(path) > 1 else next(iter(value))
+        with pytest.raises(ScenarioError, match=field_name):
+            scenario_from_dict(data)
+
+    def test_cli_rejects_malformed_file_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text(
+            '[scenario]\nname = "x"\n[fleet]\ndevices = "gp102"\n'
+            "[autoscale]\ntemplate = 5\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--scenario", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "serve scenario:" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -31,10 +31,15 @@ class TestTraceSimulate:
         first = json.loads(out.read_text())
         assert main(args) == 0
         second = json.loads(out.read_text())
-        # A warm store must not starve the trace of GPU spans.
+        # A warm store must not starve the trace of GPU spans: cache
+        # replays also emit kernel spans, so require live simulation —
+        # stall spans and kernels sourced "fresh" — in both traces.
         for payload in (first, second):
+            events = payload["traceEvents"]
+            assert any(e.get("cat") == "stall" for e in events)
             assert any(e.get("cat") == "kernel"
-                       for e in payload["traceEvents"])
+                       and e.get("args", {}).get("source") == "fresh"
+                       for e in events)
 
     def test_no_warps_drops_stall_spans(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
