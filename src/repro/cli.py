@@ -273,6 +273,8 @@ def _bench_finish(args: argparse.Namespace, payload: dict, output: str) -> int:
             mark = "REGRESSION" if verdict["slower"] else "ok"
             print(f"{name:12s} {verdict['ratio']:6.2f}x vs baseline "
                   f"({detail}) {mark}")
+            if verdict["digest_changed"]:
+                print(f"{name:12s} digest changed: timings compare different work")
         for name in report["skipped"]:
             print(f"{name:12s} skipped (missing from one side)")
     if report["regressions"]:

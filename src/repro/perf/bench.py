@@ -164,7 +164,9 @@ def compare_bench(
     each verdict comes from :func:`repro.perf.stats.compare_samples`
     over the cold samples (see its docstring for the slower rule).
     Networks missing from either side are skipped (listed under
-    ``skipped``).
+    ``skipped``).  A verdict's ``digest_changed`` is true when both
+    entries carry an output ``digest`` (serve entries do) and the two
+    differ: the timings then measure different work.
     """
     verdicts: dict = {}
     regressions: list[str] = []
@@ -181,6 +183,8 @@ def compare_bench(
         )
         verdict["baseline_engine"] = baseline[name].get("engine_version")
         verdict["candidate_engine"] = candidate[name].get("engine_version")
+        digests = (baseline[name].get("digest"), candidate[name].get("digest"))
+        verdict["digest_changed"] = None not in digests and digests[0] != digests[1]
         verdicts[name] = verdict
         if verdict["slower"]:
             regressions.append(name)

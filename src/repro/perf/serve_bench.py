@@ -50,8 +50,8 @@ def _profile(network: str, base_ms: float, per_item_ms: float) -> LatencyProfile
     )
 
 
-def _scenario(requests: int, devices: int, seed: int):
-    """The fixed benchmark scenario (fleet, profiles, workload, sim)."""
+def bench_scenario(requests: int, devices: int, seed: int) -> ServeSim:
+    """The fixed benchmark scenario as a ready-to-run simulation."""
     profiles = {
         ("alexnet", "GP102"): _profile("alexnet", 1.0, 0.5),
         ("resnet", "GP102"): _profile("resnet", 2.0, 1.0),
@@ -90,7 +90,7 @@ def run_serve_bench(
     Raises :class:`RuntimeError` if a timed run's stats digest differs
     from the warmup's.
     """
-    sim = _scenario(requests, devices, seed)
+    sim = bench_scenario(requests, devices, seed)
     digest = sim.run().digest()  # untimed warmup; its digest is the reference
     samples: list[float] = []
     for _ in range(max(1, runs)):

@@ -127,7 +127,7 @@ class SloAwareAdmission:
         return None
 
     def place(self, request, tenant, state, now_ms):
-        profile = state.profiles[request.network]
+        latency = state.batch_latency[request.network]
         busy = state.busy_until - now_ms if state.busy else 0.0
         pending = state.pending
         backlog = 0.0
@@ -137,13 +137,13 @@ class SloAwareAdmission:
             # avoids walking every per-network batcher on the hot path.
             max_batch = state.max_batch
             batches = -(-pending // max_batch)
-            backlog = batches * profile.latency_ms(min(pending, max_batch))
+            backlog = batches * latency[min(pending, max_batch)]
         # With max_batch == 1 a lone request launches immediately; the
         # co-batching timeout only delays it when batching is possible.
         slack = (
             self.slo_slack * state.batch_timeout_ms if state.max_batch > 1 else 0.0
         )
-        eta = busy + backlog + profile.latency_ms(1) + slack
+        eta = busy + backlog + latency[1] + slack
         deadline = request.arrival_ms + tenant.slo_ms - now_ms
         if eta > deadline:
             return SHED_SLO

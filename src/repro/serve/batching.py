@@ -53,19 +53,21 @@ class DynamicBatcher:
             raise ValueError("timeout_ms must be >= 0")
         self.max_batch = max_batch
         self.timeout_ms = timeout_ms
-        self._pending: deque[Request] = deque()
+        #: Pending requests, oldest first.  The engine's dispatch scan
+        #: reads it; only :meth:`add` and :meth:`pop_batch` change it.
+        self.queue: deque[Request] = deque()
 
     def add(self, request: Request) -> None:
         """Append *request* to the pending queue."""
-        self._pending.append(request)
+        self.queue.append(request)
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self.queue)
 
     @property
     def oldest_arrival_ms(self) -> float | None:
         """Arrival time of the head request, or None when empty."""
-        return self._pending[0].arrival_ms if self._pending else None
+        return self.queue[0].arrival_ms if self.queue else None
 
     def deadline_ms(self) -> float | None:
         """Latest time the head request may keep waiting for co-batching."""
@@ -74,7 +76,7 @@ class DynamicBatcher:
 
     def ready(self, now_ms: float) -> bool:
         """True when a batch should launch: full, or head timed out."""
-        if len(self._pending) >= self.max_batch:
+        if len(self.queue) >= self.max_batch:
             return True
         deadline = self.deadline_ms()
         return deadline is not None and now_ms >= deadline
@@ -86,7 +88,11 @@ class DynamicBatcher:
         is false (the engine forces when a device frees up and work is
         pending regardless of deadlines).
         """
-        if not self._pending or not (force or self.ready(now_ms)):
+        queue = self.queue
+        if not queue or not (force or self.ready(now_ms)):
             return []
-        size = min(self.max_batch, len(self._pending))
-        return [self._pending.popleft() for _ in range(size)]
+        if len(queue) <= self.max_batch:  # the usual case: take them all
+            batch = list(queue)
+            queue.clear()
+            return batch
+        return [queue.popleft() for _ in range(self.max_batch)]

@@ -11,7 +11,7 @@ per-network dynamic batchers, a bounded admission queue, busy/idle and
 active-span bookkeeping, the energy accumulators, and the counters
 that end up in ``ServeStats``.
 
-Two representation choices keep the event loop's hot path cheap while
+Three representation choices keep the event loop's hot path cheap while
 staying observationally identical to the original design:
 
 * ``pending`` is an *incremental* counter (updated on enqueue and
@@ -20,7 +20,10 @@ staying observationally identical to the original design:
 * every state mirrors its depth into a fleet-shared ``depths`` list at
   its own index, with a large sentinel while the device is not
   accepting — schedulers with a fast hook scan that flat list instead
-  of touching device objects at all.
+  of touching device objects at all;
+* ``batch_latency[network][b]`` is the profile's ``latency_ms(b)``
+  for every launchable batch size ``b`` (index 0 unused): the same
+  floats, read by index instead of through a memo call.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ class DeviceState:
     """Mutable serving state of one fleet device."""
 
     __slots__ = (
-        "device", "profiles", "max_batch", "batch_timeout_ms", "max_queue",
-        "index", "depths", "batchers", "busy", "busy_until", "flush_at",
+        "device", "profiles", "batch_latency", "max_batch", "batch_timeout_ms",
+        "max_queue", "index", "depths", "batchers", "busy", "busy_until", "flush_at",
         "pending", "accepting", "busy_ms", "batches", "served", "shed",
         "timeline", "static_watts", "dynamic_j", "active_ms", "_span_start",
     )
@@ -100,6 +103,10 @@ class DeviceState:
     ) -> None:
         self.device = device
         self.profiles = dict(profiles)
+        self.batch_latency = {
+            network: (None, *map(profile.latency_ms, range(1, max_batch + 1)))
+            for network, profile in self.profiles.items()
+        }
         self.max_batch = max_batch
         self.batch_timeout_ms = batch_timeout_ms
         self.max_queue = max_queue
@@ -143,14 +150,6 @@ class DeviceState:
     @property
     def full(self) -> bool:
         return self.pending >= self.max_queue
-
-    @property
-    def depth_timeline(self) -> list[tuple[float, int]]:
-        """Downsampled (time_ms, depth) points recorded so far."""
-        return self.timeline.points
-
-    def profile(self, network: str) -> LatencyProfile:
-        return self.profiles[network]
 
     def enqueue(self, request: Request, now_ms: float) -> None:
         self.batchers[request.network].add(request)
@@ -227,7 +226,8 @@ class DeviceState:
             pending = len(batcher)
             if not pending:
                 continue
-            profile = self.profiles[queued_network]
             batches = math.ceil(pending / self.max_batch)
-            estimate += batches * profile.latency_ms(min(pending, self.max_batch))
-        return estimate + self.profiles[network].latency_ms(1)
+            estimate += batches * self.batch_latency[queued_network][
+                min(pending, self.max_batch)
+            ]
+        return estimate + self.batch_latency[network][1]

@@ -12,7 +12,8 @@ One :class:`ServeSim` run drives the staged request pipeline
   timed-out partial batch instead of waiting for it to fill;
 * **complete** — a batch retires: per-request latencies, per-tenant
   SLO outcomes and energy shares are recorded, closed-loop clients
-  think-and-reissue, and the freed device immediately launches its
+  think-and-reissue (only a ``closed_loop`` workload sees
+  ``on_completion``), and the freed device immediately launches its
   next ready batch (or schedules a flush for the earliest deadline);
 * **tick** — the autoscaler (when configured) reads the fleet signals
   and grows or drains the fleet; ticks reschedule themselves only
@@ -30,7 +31,8 @@ fleet order — a fixed seed reproduces :class:`ServeStats` exactly.
 
 **Event loop.**  :meth:`ServeSim.run` pops one event at a time off
 the binary heap (:class:`~repro.serve.events.EventQueue`) and hands it
-to its handler; DESIGN.md §15 records why this is the only loop.
+to its handler; DESIGN.md §15 records why this is the only loop and
+why the handlers' hot-path shortcuts keep the statistics exact.
 
 When a tracer is installed (:mod:`repro.obs`), each request leaves a
 queue-wait span (arrival → launch) and an execute span nested inside
@@ -43,6 +45,7 @@ per-device queue-depth gauge and a fleet-size gauge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Mapping, Sequence
 
@@ -200,7 +203,6 @@ class ServeSim:
         self._shed = 0
         self._violations = 0
         self._clock = 0.0
-        self._latencies: list[float] = []
         self._per_network: dict[str, list[float]] = {}
         self._shed_reasons: dict[str, int] = {}
         self._pending_total = 0
@@ -214,6 +216,7 @@ class ServeSim:
         self._tracer = get_tracer()
         self._obs = self._tracer.enabled
         self._batch_seq = 0
+        self._closed_loop = self.workload.closed_loop
 
     # ------------------------------------------------------------------
     def run(self) -> ServeStats:
@@ -232,19 +235,18 @@ class ServeSim:
 
     def _drain_heap(self, queue: EventQueue, rng: Random) -> None:
         """The event loop: one heap pop per event."""
+        pop = queue.pop
         while queue:
-            event = queue.pop()
-            kind = event.kind
-            now = event.time_ms
+            now, _, kind, payload = pop()
             if kind == ARRIVAL:
                 self._clock = now
-                self._on_arrival(event.payload, now, queue, rng)
+                self._on_arrival(payload, now, queue, rng)
             elif kind == COMPLETE:
                 self._clock = now
-                self._on_complete(event.payload, now, queue, rng)
+                self._on_complete(payload, now, queue, rng)
             elif kind == FLUSH:
                 self._clock = now
-                self._on_flush(event.payload, now, queue)
+                self._on_flush(payload, now, queue)
             else:
                 self._on_tick(now, queue, len(queue))
 
@@ -297,11 +299,12 @@ class ServeSim:
                 tracer.metrics.counter("serve.shed").inc()
                 tracer.metrics.counter(f"serve.shed.{reason}").inc()
             # Closed-loop clients observe the rejection and issue again.
-            self._push_arrival(
-                self.workload.on_completion(request, now, self._issued, rng), queue
-            )
+            if self._closed_loop:
+                self._push_arrival(
+                    self.workload.on_completion(request, now, self._issued, rng),
+                    queue,
+                )
             return
-        state = self.devices[index]
         state.enqueue(request, now)
         self._pending_total += 1
         if self._obs:
@@ -312,7 +315,8 @@ class ServeSim:
                 args={"request": request.id, "device": state.device.name},
             )
             tracer.metrics.counter("serve.enqueued").inc()
-        self._dispatch(state, index, now, queue)
+        if not state.busy:
+            self._dispatch(state, index, now, queue)
 
     def _on_flush(self, index: int, now: float, queue) -> None:
         state = self.devices[index]
@@ -332,27 +336,26 @@ class ServeSim:
         # Attribute the batch's energy to its member requests: each
         # carries its own dynamic energy plus an equal share of the
         # static energy burned over the batch window.
+        network = first.network
         duration = first.finish_ms - first.start_ms
-        profile = state.profiles[first.network]
+        profile = state.profiles[network]
         share = profile.dynamic_j + state.static_watts * duration / 1e3 / size
-        latencies = self._latencies
-        per_network = self._per_network
+        # A batch holds one network's requests (it came off that
+        # network's batcher), so one lookup serves the whole batch.
+        network_lats = self._per_network.get(network)
+        if network_lats is None:
+            network_lats = self._per_network[network] = []
         tacc = self._tacc
         obs = self._obs
         good = 0
         for request in batch:
             latency = request.finish_ms - request.arrival_ms
-            latencies.append(latency)
-            network_lats = per_network.get(request.network)
-            if network_lats is None:
-                network_lats = per_network[request.network] = []
             network_lats.append(latency)
             acc = tacc[request.tenant]
             acc.latencies.append(latency)
             acc.energy_j += share
             if latency > acc.tenant.slo_ms:
                 acc.violations += 1
-                self._violations += 1
             else:
                 good += 1
             if obs:
@@ -364,11 +367,17 @@ class ServeSim:
                 metrics.counter("serve.completed").inc()
                 if latency > acc.tenant.slo_ms:
                     metrics.counter("serve.slo_violations").inc()
-            self._push_arrival(
-                self.workload.on_completion(request, now, self._issued, rng), queue
-            )
+        self._violations += size - good
         self._win_completed += size
         self._win_good += good
+        if self._closed_loop:
+            # The clients' reissues in completion order, after the
+            # bookkeeping above (which neither reads nor feeds them).
+            for request in batch:
+                self._push_arrival(
+                    self.workload.on_completion(request, now, self._issued, rng),
+                    queue,
+                )
         self._dispatch(state, index, now, queue)
         if not state.accepting:
             state.maybe_retire(now)
@@ -444,17 +453,18 @@ class ServeSim:
         ready_network: str | None = None
         ready_oldest = 0.0
         pending_deadline: float | None = None
+        # DynamicBatcher.ready/deadline_ms, read off each batcher's queue.
         for network, batcher in state.batchers.items():
-            oldest = batcher.oldest_arrival_ms
-            if oldest is None:
+            waiting = batcher.queue
+            if not waiting:
                 continue
-            if batcher.ready(now):
+            oldest = waiting[0].arrival_ms
+            deadline = oldest + batcher.timeout_ms
+            if len(waiting) >= batcher.max_batch or now >= deadline:
                 if ready_network is None or oldest < ready_oldest:
                     ready_network, ready_oldest = network, oldest
-            else:
-                deadline = batcher.deadline_ms()
-                if pending_deadline is None or deadline < pending_deadline:
-                    pending_deadline = deadline
+            elif pending_deadline is None or deadline < pending_deadline:
+                pending_deadline = deadline
         if ready_network is not None:
             self._launch(state, index, ready_network, now, queue)
         elif pending_deadline is not None and (
@@ -469,15 +479,14 @@ class ServeSim:
         batch = state.take_batch(network, now)
         size = len(batch)
         self._pending_total -= size
-        profile = state.profiles[network]
-        duration = profile.latency_ms(size)
+        duration = state.batch_latency[network][size]
         finish = now + duration
         state.busy = True
         state.busy_until = finish
         state.busy_ms += duration
         state.batches += 1
         state.served += size
-        state.dynamic_j += profile.dynamic_j * size
+        state.dynamic_j += state.profiles[network].dynamic_j * size
         for request in batch:
             request.start_ms = now
             request.finish_ms = finish
@@ -540,7 +549,12 @@ class ServeSim:
     def _build_stats(self) -> ServeStats:
         duration = self._clock
         duration_s = duration / 1e3 if duration > 0 else 0.0
-        ordered = sorted(self._latencies)
+        samples = self._per_network.values()
+        for values in samples:
+            values.sort()
+        # Each completion is in exactly one network's sample, so the
+        # whole sample sorts as a merge of the sorted per-network runs.
+        ordered = sorted(chain.from_iterable(samples))
         completed = len(ordered)
         violations = self._violations
         good = completed - violations

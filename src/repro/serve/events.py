@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from heapq import heappop, heappush
 from typing import Any, NamedTuple
 
 #: Event kinds, compared only for equality.
@@ -42,6 +43,10 @@ class Event(NamedTuple):
     payload: Any
 
 
+#: Builds an ``Event`` without the generated ``__new__`` wrapper.
+_new_event = tuple.__new__
+
+
 class EventQueue:
     """Min-heap of :class:`Event` with deterministic FIFO tie-breaking."""
 
@@ -53,14 +58,15 @@ class EventQueue:
 
     def push(self, time_ms: float, kind: str, payload: Any = None) -> Event:
         """Schedule *kind* at *time_ms*; returns the stored event."""
-        event = Event(time_ms, self._seq, kind, payload)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = _new_event(Event, (time_ms, seq, kind, payload))
+        heappush(self._heap, event)
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        return heapq.heappop(self._heap)
+        return heappop(self._heap)
 
     def peek_time(self) -> float | None:
         """Time of the earliest event, or None when empty."""

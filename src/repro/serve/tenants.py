@@ -66,6 +66,8 @@ class MultiTenantWorkload(Workload):
 
     Arrivals are tagged with the owning tenant's name and stream index;
     chaining delegates to the tagged sub-workload with its private rng.
+    The built-in open-loop workloads carry the tag along their chain, so
+    only an arrival that comes back untagged is copied with its tag.
     """
 
     def __init__(self, parts: Sequence[tuple[Tenant, Workload]]) -> None:
@@ -77,6 +79,8 @@ class MultiTenantWorkload(Workload):
         self.parts = tuple(parts)
         self.closed_loop = any(wl.closed_loop for _, wl in parts)
         self._by_name = {tenant.name: i for i, (tenant, _) in enumerate(parts)}
+        self._names = tuple(names)
+        self._workloads = tuple(workload for _, workload in parts)
         # Per-run state, re-created by prime().
         self._rngs: list[Random] = []
         self._issued: list[int] = []
@@ -88,11 +92,10 @@ class MultiTenantWorkload(Workload):
     def _tag(self, arrival: Arrival | None, stream: int) -> Arrival | None:
         if arrival is None:
             return None
-        tenant, _ = self.parts[stream]
-        return Arrival(
-            arrival.time_ms, arrival.network, arrival.index,
-            tenant.name, stream,
-        )
+        name = self._names[stream]
+        if arrival.stream == stream and arrival.tenant == name:
+            return arrival
+        return Arrival(arrival.time_ms, arrival.network, arrival.index, name, stream)
 
     def prime(self, rng: Random) -> list[Arrival]:
         # One private generator per stream, seeded from the run seed in
@@ -101,7 +104,7 @@ class MultiTenantWorkload(Workload):
         self._rngs = [Random(rng.getrandbits(64)) for _ in self.parts]
         self._issued = [0] * len(self.parts)
         primed: list[Arrival] = []
-        for stream, (_, workload) in enumerate(self.parts):
+        for stream, workload in enumerate(self._workloads):
             initial = workload.prime(self._rngs[stream])
             self._issued[stream] = len(initial)
             primed.extend(self._tag(arrival, stream) for arrival in initial)
@@ -109,8 +112,7 @@ class MultiTenantWorkload(Workload):
 
     def next_arrival(self, prev: Arrival, rng: Random) -> Arrival | None:
         stream = prev.stream
-        _, workload = self.parts[stream]
-        nxt = workload.next_arrival(prev, self._rngs[stream])
+        nxt = self._workloads[stream].next_arrival(prev, self._rngs[stream])
         if nxt is not None:
             self._issued[stream] += 1
         return self._tag(nxt, stream)
@@ -121,8 +123,7 @@ class MultiTenantWorkload(Workload):
         # ``issued`` from the engine is the global count; closed-loop
         # sub-workloads need their own stream's count.
         stream = self._by_name[request.tenant]
-        _, workload = self.parts[stream]
-        nxt = workload.on_completion(
+        nxt = self._workloads[stream].on_completion(
             request, now_ms, self._issued[stream], self._rngs[stream]
         )
         if nxt is not None:

@@ -3,9 +3,11 @@
 Open-loop workloads are *chained*: the engine asks for the next arrival
 only while processing the previous one, so the event heap holds at most
 one future arrival at a time and a million-request stream costs O(1)
-memory.  Workload objects are stateless across runs — every piece of
-per-run state lives in the :class:`Arrival` chain (its ``index``) or in
-the engine — so the same workload instance can drive several schedulers
+memory.  Each chained arrival carries its predecessor's tenant tag
+forward, so a tagged stream stays tagged without a copy per request.
+Workload objects are stateless across runs — every piece of per-run
+state lives in the :class:`Arrival` chain (its ``index``) or in the
+engine — so the same workload instance can drive several schedulers
 back-to-back, each with a fresh ``random.Random(seed)``, and produce
 identical streams.
 """
@@ -14,17 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.serve.batching import Request
 
 
-@dataclass(frozen=True, slots=True)
-class Arrival:
-    """One request arrival in the generated stream."""
+class Arrival(NamedTuple):
+    """One request arrival (a tuple: half a frozen dataclass's build cost)."""
 
     time_ms: float
     network: str
@@ -54,7 +54,9 @@ def _pick(networks: Sequence[str], weights: Sequence[float] | None, rng: Random)
 class Workload:
     """Base request generator; subclasses override the hooks they use."""
 
-    #: Closed-loop workloads issue new arrivals from completions.
+    #: Closed-loop workloads issue new arrivals from completions.  The
+    #: engine calls :meth:`on_completion` only when this is true, so an
+    #: open-loop workload must leave it false and never see the call.
     closed_loop = False
 
     def prime(self, rng: Random) -> list[Arrival]:
@@ -68,7 +70,12 @@ class Workload:
     def on_completion(
         self, request: Request, now_ms: float, issued: int, rng: Random
     ) -> Arrival | None:
-        """A reactive arrival triggered by *request* completing."""
+        """A reactive arrival triggered by *request* completing.
+
+        The engine calls this once per completed request and once per
+        shed request (the client observes the rejection), and only when
+        :attr:`closed_loop` is true.
+        """
         return None
 
 
@@ -105,7 +112,7 @@ class PoissonWorkload(Workload):
         return Arrival(
             prev.time_ms + self._gap_ms(rng),
             _pick(self.networks, self.weights, rng),
-            prev.index + 1,
+            prev.index + 1, prev.tenant, prev.stream,
         )
 
 
@@ -167,7 +174,7 @@ class BurstyWorkload(PoissonWorkload):
         return Arrival(
             self._next_time(prev.time_ms, rng),
             _pick(self.networks, self.weights, rng),
-            prev.index + 1,
+            prev.index + 1, prev.tenant, prev.stream,
         )
 
 
@@ -254,7 +261,7 @@ class DiurnalWorkload(Workload):
         return Arrival(
             self._next_time(prev.time_ms, rng),
             _pick(self.networks, self.weights, rng),
-            prev.index + 1,
+            prev.index + 1, prev.tenant, prev.stream,
         )
 
 

@@ -19,8 +19,7 @@ def light_options() -> SimOptions:
     return SimOptions().light()
 
 
-@pytest.fixture(scope="session")
-def tiny_gpu() -> GpuConfig:
+def make_tiny_gpu() -> GpuConfig:
     """A small GPU configuration that keeps waves short in tests."""
     return GpuConfig(
         name="TestGPU",
@@ -35,3 +34,9 @@ def tiny_gpu() -> GpuConfig:
         l2_size=512 * 1024,
         dram_gb_per_s=100.0,
     )
+
+
+@pytest.fixture(scope="session")
+def tiny_gpu() -> GpuConfig:
+    """:func:`make_tiny_gpu` as a fixture."""
+    return make_tiny_gpu()

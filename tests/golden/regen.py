@@ -4,13 +4,16 @@
     PYTHONPATH=src python tests/golden/regen.py full         # minutes
     PYTHONPATH=src python tests/golden/regen.py campaign     # < 1 minute
     PYTHONPATH=src python tests/golden/regen.py serve-scale  # seconds
+    PYTHONPATH=src python tests/golden/regen.py serve-matrix # seconds
 
 ``campaign`` rewrites the committed golden Pareto frontiers in
 ``examples/`` (``smoke_frontier.json``, ``l1_sweep_frontier.json``)
 that ``repro campaign compare`` and CI's campaign-smoke job gate on.
 ``serve-scale`` rewrites ``serve_scale.digest``, the stats digest of
 ``examples/serve_scale.toml`` at light fidelity that CI's serve-scale
-job gates on.
+job gates on.  ``serve-matrix`` rewrites ``serve_matrix.json``, the
+stats digest of every serving determinism-matrix case in
+``tests/test_serve_engine.py``.
 
 Only regenerate for an *intentional* behavioral change (engine bump,
 new network weights, QoR-model change); the tests pin these bytes on
@@ -78,6 +81,15 @@ def regen_serve_scale() -> None:
     print(f"wrote {path}")
 
 
+def regen_serve_matrix() -> None:
+    from conftest import make_tiny_gpu
+    from test_serve_engine import SERVE_MATRIX, matrix_digests
+
+    digests = matrix_digests(make_tiny_gpu())
+    SERVE_MATRIX.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {SERVE_MATRIX}")
+
+
 def main() -> None:
     which = sys.argv[1] if len(sys.argv) > 1 else "fixture"
     if which == "fixture":
@@ -92,10 +104,13 @@ def main() -> None:
     elif which in ("serve-scale", "--serve-scale"):
         regen_serve_scale()
         return
+    elif which == "serve-matrix":
+        regen_serve_matrix()
+        return
     else:
         raise SystemExit(
             f"unknown target {which!r} "
-            f"(expected fixture|full|campaign|serve-scale)"
+            f"(expected fixture|full|campaign|serve-scale|serve-matrix)"
         )
     print(f"wrote {path}")
 

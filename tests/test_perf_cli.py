@@ -293,3 +293,34 @@ class TestServeBench:
         out = capsys.readouterr().out
         assert re.search(r"serve-heap .* vs baseline", out)
         assert "serve-fast" in out and "skipped" in out
+        assert "digest changed" not in out  # the baseline carries no digest
+
+    def test_compare_flags_changed_digest(self, capsys, tmp_path):
+        # A baseline whose serve run produced other stats: the line is
+        # printed, and the exit status still follows the timings alone.
+        run = {"cold_s": 100.0, "samples": {"cold": [100.0] * 5}}
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({"serve-heap": {**run, "digest": "0" * 64}}))
+        exit_code = main([
+            "bench", "--serve", "--serve-requests", "1000",
+            "--serve-devices", "2", "--runs", "1",
+            "--output", str(tmp_path / "head.json"),
+            "--compare", str(baseline),
+        ])
+        assert exit_code == 0
+        assert "serve-heap   digest changed: timings compare different work" in (
+            capsys.readouterr().out
+        )
+
+    def test_compare_bench_digest_changed(self):
+        def entry(digest):
+            return {"cold_s": 1.0, "samples": {"cold": [1.0] * 3}, "digest": digest}
+
+        report = compare_bench(
+            {"same": entry("a"), "moved": entry("a"), "untagged": {
+                "cold_s": 1.0, "samples": {"cold": [1.0] * 3}}},
+            {"same": entry("a"), "moved": entry("b"), "untagged": entry("b")},
+        )
+        changed = {name: v["digest_changed"] for name, v in report["networks"].items()}
+        assert changed == {"same": False, "moved": True, "untagged": False}
+        assert report["regressions"] == []

@@ -7,12 +7,16 @@ behaviour can be asserted to the millisecond.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import capture_trace
+from repro.perf.serve_bench import bench_scenario
 from repro.platforms import make_config, register_platform, unregister_platform
 from repro.serve import (
     AutoscaleConfig,
@@ -133,6 +137,30 @@ SAME_SEED_CASES = {
 SAME_SEED_CASES["full-pipeline"] = full_pipeline_case
 SAME_SEED_CASES["single-device"] = single_device_case
 
+#: ``ServeStats.digest()`` of every matrix case, committed so that a
+#: change to the engine that alters any statistic fails here even when
+#: it is rerun-stable (regen: ``tests/golden/regen.py serve-matrix``).
+SERVE_MATRIX = Path(__file__).parent / "golden" / "serve_matrix.json"
+
+#: The ``repro bench --serve`` scenario at test size, seed 0.
+SERVE_STEADY_SMALL = "serve-steady-small"
+
+
+def matrix_sim(name: str, tiny_gpu) -> ServeSim:
+    """A fresh simulation of one :data:`SERVE_MATRIX` case."""
+    if name == SERVE_STEADY_SMALL:
+        return bench_scenario(4_000, 20, 0)
+    fleet, profiles, workload, config, pipeline, _ = SAME_SEED_CASES[name](tiny_gpu)
+    return ServeSim(fleet, profiles, workload, config, pipeline)
+
+
+MATRIX_NAMES = [*SAME_SEED_CASES, SERVE_STEADY_SMALL]
+
+
+def matrix_digests(tiny_gpu) -> dict[str, str]:
+    """Digest of every :data:`SERVE_MATRIX` case, by case name."""
+    return {name: matrix_sim(name, tiny_gpu).run().digest() for name in MATRIX_NAMES}
+
 
 def assert_reruns_identical(sim: ServeSim):
     """Run *sim* twice; both runs must give identical statistics."""
@@ -173,6 +201,22 @@ class TestDeterminism:
             ServeSim(fleet, profiles, workload, config, pipeline)
         )
         assert covered(stats)
+
+    @pytest.mark.parametrize("case", MATRIX_NAMES)
+    def test_matches_cross_version_golden(self, tiny_gpu, case):
+        golden = json.loads(SERVE_MATRIX.read_text())
+        assert matrix_sim(case, tiny_gpu).run().digest() == golden[case]
+
+    def test_golden_names_every_case(self):
+        assert sorted(json.loads(SERVE_MATRIX.read_text())) == sorted(MATRIX_NAMES)
+
+    @pytest.mark.parametrize("case", MATRIX_NAMES)
+    def test_tracing_does_not_change_stats(self, tiny_gpu, case):
+        untraced = matrix_sim(case, tiny_gpu).run()
+        with capture_trace() as tracer:
+            traced = matrix_sim(case, tiny_gpu).run()
+        assert tracer.spans  # the traced branches really ran
+        assert traced.to_dict() == untraced.to_dict()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -316,6 +360,34 @@ class TestWorkloads:
         # One client: every batch holds exactly one request.
         assert stats.completed == 20
         assert stats.devices[0].batches == 20
+
+
+class SpyWorkload(PoissonWorkload):
+    """Poisson arrivals that count the engine's ``on_completion`` calls."""
+
+    def __init__(self, closed_loop: bool) -> None:
+        super().__init__(600.0, 300, ["net"])
+        self.closed_loop = closed_loop
+        self.calls = 0
+
+    def on_completion(self, request, now_ms, issued, rng):
+        self.calls += 1
+        return None
+
+
+class TestOpenLoopContract:
+    """``on_completion`` runs only for ``closed_loop`` workloads."""
+
+    @pytest.mark.parametrize("closed_loop", [False, True])
+    def test_on_completion_calls(self, tiny_gpu, closed_loop):
+        # The overloaded single-device case, so both completions and
+        # sheds happen.
+        fleet, profiles, _, config, _, _ = single_device_case(tiny_gpu)
+        workload = SpyWorkload(closed_loop)
+        stats = run_serve(fleet, profiles, workload, config)
+        assert stats.completed and stats.shed
+        expected = stats.completed + stats.shed if closed_loop else 0
+        assert workload.calls == expected
 
 
 class TestFleetConstruction:
