@@ -10,7 +10,7 @@ same ``simulate_kernel`` / ``simulate_network`` signatures.
 
 ``tests/test_engine_equivalence.py`` runs both engines over suite
 networks and asserts the resulting :class:`KernelStats` match exactly.
-Nothing outside the tests (and ``repro bench --compare-seed``) should
+Nothing outside the tests (and ``repro bench --seed``) should
 import this module; it is deliberately slow.
 """
 

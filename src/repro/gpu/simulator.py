@@ -32,7 +32,8 @@ are bit-identical on every suite network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.gpu import engine as engine_registry
 from repro.gpu.config import GpuConfig, SimOptions
@@ -46,6 +47,9 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.tracer import CYCLES, get_tracer
 from repro.profiling.stats import KernelStats
 
+if TYPE_CHECKING:
+    from repro.runs.store import StoredKernelInfo
+
 #: Guard program shared by all kernels (fully-inactive warps),
 #: expanded and decoded once at module scope (the seed engine
 #: re-expanded it on every simulate_kernel call).  Sharing one decoded
@@ -58,9 +62,17 @@ _GUARD_DECODED = decode_program(_GUARD_EXPANDED)
 
 @dataclass
 class KernelResult:
-    """Scaled simulation outcome of one kernel launch."""
+    """Scaled simulation outcome of one kernel launch.
 
-    kernel: KernelLaunch
+    The one per-kernel result type: a live simulation carries its
+    :class:`KernelLaunch`; a kernel decoded from the result store or
+    timed by the tiling mapper carries a
+    :class:`~repro.runs.store.StoredKernelInfo` with the same identity
+    fields (``name``, ``node_name``, ``category``, ``total_blocks``,
+    ``signature()``).
+    """
+
+    kernel: KernelLaunch | StoredKernelInfo
     stats: KernelStats
     occupancy: Occupancy
     #: dynamic / simulated instruction ratio (per-warp sampling factor).
@@ -81,7 +93,14 @@ class KernelResult:
 
 @dataclass
 class NetworkResult:
-    """Simulation outcome of a whole network's kernel sequence."""
+    """Outcome of a whole network's kernel sequence.
+
+    The one network-run type: :func:`simulate_network`, the run store's
+    decoder (:func:`repro.runs.store.result_from_payload`) and the tiling
+    mapper (:func:`repro.mapping.execute.run_mapped_network`) all return
+    it, so power, profiling, serving and campaign code reads GPU, FPGA
+    and NPU runs, live or stored, through one API.
+    """
 
     network: str
     config: GpuConfig
@@ -332,36 +351,19 @@ def simulate_network(
         seen.add(signature)
         hit = local.get(signature) if dedup else None
         if hit is None:
-            entry = cache.get(signature, config, options) if cache is not None else None
-            if entry is not None:
+            hit = cache.get(kernel, config, options) if cache is not None else None
+            if hit is not None:
                 source = "cache"
-                hit = KernelResult(
-                    kernel=kernel,
-                    stats=entry.stats,
-                    occupancy=entry.occupancy,
-                    sample_factor=entry.sample_factor,
-                    block_factor=entry.block_factor,
-                )
             else:
                 source = "fresh"
                 hit = simulate_kernel(kernel, config, options, _wave_cache=wave_cache)
                 if cache is not None:
-                    cache.put(
-                        signature, config, options,
-                        hit.stats, hit.occupancy,
-                        hit.sample_factor, hit.block_factor,
-                    )
+                    cache.put(hit, config, options)
             if dedup:
                 local[signature] = hit
         else:
             source = "local"
-            hit = KernelResult(
-                kernel=kernel,
-                stats=_copy_stats(hit.stats),
-                occupancy=hit.occupancy,
-                sample_factor=hit.sample_factor,
-                block_factor=hit.block_factor,
-            )
+            hit = replace(hit, kernel=kernel, stats=_copy_stats(hit.stats))
         result.kernels.append(hit)
         if tracer.enabled:
             tracer.span(

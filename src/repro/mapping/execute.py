@@ -8,10 +8,11 @@ per-tile share of DRAM bandwidth.  A per-layer launch overhead models
 control/configuration cost (code loading on the PynQ, NoC setup on the
 SpiNNaker2 mesh).
 
-The result is a :class:`~repro.runs.store.StoredNetworkResult`: the
-same duck type the GPU simulator's runs store produces, so the serving
-latency profiles, power meters, campaign QoR rows and report renderers
-consume accelerator runs unchanged.  The stats are populated so that
+The result is a :class:`~repro.gpu.simulator.NetworkResult` whose
+kernels carry a :class:`~repro.runs.store.StoredKernelInfo` identity:
+the same types the GPU simulator and the run store return, so the
+serving latency profiles, power meters, campaign QoR rows and report
+renderers consume accelerator runs unchanged.  The stats are populated so that
 :func:`repro.serve.profiles.profile_from_result` reproduces
 ``total_time_ms`` exactly at batch 1 (``wave_cycles`` x wave count plus
 launch overhead), mirroring the GPU contract.
@@ -22,25 +23,20 @@ from __future__ import annotations
 from repro.core.graph import NetworkGraph
 from repro.gpu.config import SimOptions
 from repro.gpu.occupancy import Occupancy
+from repro.gpu.simulator import KernelResult, NetworkResult
 from repro.mapping.mapper import map_network
 from repro.mapping.plan import LayerPlan
 from repro.platforms.accel import AcceleratorConfig
 from repro.profiling.stats import KernelStats
-from repro.runs.store import (
-    StoredKernelInfo,
-    StoredKernelResult,
-    StoredNetworkResult,
-)
+from repro.runs.store import StoredKernelInfo
 
 
 def _ceil(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def layer_kernel(
-    plan: LayerPlan, config: AcceleratorConfig
-) -> StoredKernelResult:
-    """Time one layer plan on *config* as a stored kernel result."""
+def layer_kernel(plan: LayerPlan, config: AcceleratorConfig) -> KernelResult:
+    """Time one layer plan on *config* as a kernel result."""
     n_tiles = plan.n_tiles
     concurrency = min(n_tiles, config.tiles)
     # concurrent tiles share DRAM bandwidth equally
@@ -77,7 +73,7 @@ def layer_kernel(
         limiter="tile-memory",
         allocated_register_bytes=0,
     )
-    return StoredKernelResult(
+    return KernelResult(
         kernel=info,
         stats=stats,
         occupancy=occupancy,
@@ -90,24 +86,18 @@ def run_mapped_network(
     network: str | NetworkGraph,
     config: AcceleratorConfig,
     options: SimOptions | None = None,
-) -> StoredNetworkResult:
+) -> NetworkResult:
     """Map *network* onto *config* and time the tiled plan.
 
     ``options`` only rides along for result bookkeeping (the mapper is
     exact, not sampled); pass-through layers contribute no kernels.
     """
     plan = map_network(network, config)
-    result = StoredNetworkResult(
+    kernels = [layer_kernel(layer, config) for layer in plan.layers if layer.tiles]
+    return NetworkResult(
         network=plan.network,
         config=config,
         options=options if options is not None else SimOptions(),
+        kernels=kernels,
+        unique_kernels=len({k.kernel.sig for k in kernels}),
     )
-    signatures: set[str] = set()
-    for layer_plan in plan.layers:
-        if not layer_plan.tiles:
-            continue
-        kernel = layer_kernel(layer_plan, config)
-        signatures.add(kernel.kernel.sig)
-        result.kernels.append(kernel)
-    result.unique_kernels = len(signatures)
-    return result

@@ -7,25 +7,5 @@
   timing the serving event loop on a synthetic fleet (emits
   ``BENCH_serve.json``).
 
-The kernel-cache layer lives in :mod:`repro.runs.store`; the package
-re-exports its public names for convenience.  (The old
-``repro.perf.cache`` shim completed its deprecation cycle and is gone.)
+The result store they read and fill lives in :mod:`repro.runs.store`.
 """
-
-from repro.runs.store import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    CachedKernel,
-    KernelResultCache,
-    cache_key,
-    default_cache_dir,
-)
-
-__all__ = [
-    "CACHE_DIR_ENV",
-    "DEFAULT_CACHE_DIR",
-    "CachedKernel",
-    "KernelResultCache",
-    "cache_key",
-    "default_cache_dir",
-]

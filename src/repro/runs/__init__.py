@@ -10,12 +10,16 @@ single orchestration layer behind all of them:
 * :mod:`repro.runs.store` — :class:`ResultStore`, the one
   content-addressed on-disk store (``.repro-cache/`` or
   ``$REPRO_CACHE_DIR``) holding both per-kernel results and serialized
-  whole-network runs.
+  whole-network runs, decoded back to the simulator's own
+  :class:`~repro.gpu.simulator.NetworkResult` /
+  :class:`~repro.gpu.simulator.KernelResult`.
 * :mod:`repro.runs.planner` — collects every registered experiment's
   required runs and dedupes them into a minimal :class:`Plan`.
 * :mod:`repro.runs.executor` — :class:`Executor`, the cached
   read-through front door to :func:`repro.gpu.simulator.simulate_network`
-  with process-pool fan-out over a plan's missing entries.
+  (and, for accelerator configs, the tiling mapper) with process-pool
+  fan-out over a plan's missing entries; every run it returns is a
+  ``NetworkResult``, fresh or stored, GPU or mapped.
 * :mod:`repro.runs.experiment` — the declarative :class:`Experiment`
   spec (required runs, aggregate fn, checks, render hint) and
   :func:`run_experiment`.
@@ -39,7 +43,7 @@ from repro.runs.executor import ExecutionReport, Executor
 from repro.runs.experiment import Experiment, RunView, run_experiment
 from repro.runs.planner import Plan, build_plan
 from repro.runs.spec import PlanContext, RunSpec, run_key
-from repro.runs.store import ResultStore, StoredNetworkResult
+from repro.runs.store import ResultStore
 
 __all__ = [
     "ExecutionReport",
@@ -50,7 +54,6 @@ __all__ = [
     "ResultStore",
     "RunSpec",
     "RunView",
-    "StoredNetworkResult",
     "build_plan",
     "run_experiment",
     "run_key",

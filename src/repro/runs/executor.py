@@ -8,9 +8,11 @@ kernels).  :meth:`Executor.execute` fans a plan's missing entries out
 over a process pool, merging results in submission order so the store's
 contents are deterministic regardless of worker completion order.
 
-Both live and cached paths return :class:`StoredNetworkResult` decoded
-from the JSON payload, so every consumer sees byte-identical values
-whether the run was fresh or a hit.
+Every path returns a :class:`~repro.gpu.simulator.NetworkResult`
+decoded from the run's JSON payload — fresh or stored, GPU or mapped —
+so every consumer sees byte-identical values whether the run was fresh
+or a hit.  A run entry that does not decode counts as missing, so a
+corrupt entry is re-simulated in the pool like any other miss.
 
 When a tracer is installed (:mod:`repro.obs`), the executor records
 wall-clock spans for store probes, fresh simulations and whole-plan
@@ -28,15 +30,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.gpu.config import GpuConfig
+from repro.gpu.simulator import NetworkResult
 from repro.obs.tracer import WALL_S, get_tracer
 from repro.runs.planner import Plan
 from repro.runs.spec import RunSpec
-from repro.runs.store import (
-    ResultStore,
-    StoredNetworkResult,
-    result_from_payload,
-    result_to_payload,
-)
+from repro.runs.store import ResultStore, result_from_payload, result_to_payload
 
 
 @dataclass
@@ -92,14 +90,14 @@ class Executor:
     def __init__(self, store: ResultStore | None = None, verbose: bool = False) -> None:
         self.store = store
         self.verbose = verbose
-        self._memory: dict[str, StoredNetworkResult] = {}
+        self._memory: dict[str, NetworkResult] = {}
         #: Fresh simulations performed through this executor.
         self.fresh = 0
         #: Lookups served from memory or the store.
         self.hits = 0
 
     # ------------------------------------------------------------------
-    def run(self, spec: RunSpec, refresh: bool = False) -> StoredNetworkResult:
+    def run(self, spec: RunSpec, refresh: bool = False) -> NetworkResult:
         """Run (or load) one network simulation.
 
         ``refresh=True`` skips the memory and store reads — the run
@@ -108,32 +106,40 @@ class Executor:
         trace always contains live GPU spans (stalls and warps included)
         even when the run is already cached.
         """
+        found = None if refresh else self._lookup(spec)
+        return found if found is not None else self._simulate(spec, refresh)
+
+    def _lookup(self, spec: RunSpec) -> NetworkResult | None:
+        """*spec*'s result from memory, else from a store entry that
+        decodes (kept in memory from then on); None when neither has it."""
         tracer = get_tracer()
         key = spec.key()
-        if not refresh:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self.hits += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("runs.memory_hits").inc()
-                return cached
-            if self.store is not None:
-                probe_start = tracer.wall()
-                stored = self.store.get_run(spec)
-                if tracer.enabled:
-                    tracer.span(
-                        f"probe {spec.network}", "cache", WALL_S,
-                        probe_start, tracer.wall() - probe_start,
-                        process="runs", thread="executor",
-                        args={"run": spec.describe(), "hit": stored is not None},
-                    )
-                    tracer.metrics.counter(
-                        "runs.store_hits" if stored is not None else "runs.store_misses"
-                    ).inc()
-                if stored is not None:
-                    self._memory[key] = stored
-                    self.hits += 1
-                    return stored
+        found = self._memory.get(key)
+        if found is not None:
+            if tracer.enabled:
+                tracer.metrics.counter("runs.memory_hits").inc()
+        elif self.store is not None:
+            probe_start = tracer.wall()
+            found = self.store.get_run(spec)
+            if tracer.enabled:
+                tracer.span(
+                    f"probe {spec.network}", "cache", WALL_S,
+                    probe_start, tracer.wall() - probe_start,
+                    process="runs", thread="executor",
+                    args={"run": spec.describe(), "hit": found is not None},
+                )
+                tracer.metrics.counter(
+                    "runs.store_hits" if found is not None else "runs.store_misses"
+                ).inc()
+            if found is not None:
+                self._memory[key] = found
+        if found is not None:
+            self.hits += 1
+        return found
+
+    def _simulate(self, spec: RunSpec, refresh: bool = False) -> NetworkResult:
+        """Simulate *spec* in this process and store its run entry."""
+        tracer = get_tracer()
         if self.verbose:
             print(f"[run] simulating {spec.describe()}", flush=True)
         sim_start = tracer.wall()
@@ -146,11 +152,15 @@ class Executor:
                 args={"run": spec.describe(), "refresh": refresh},
             )
             tracer.metrics.counter("runs.fresh").inc()
+        return self._keep(spec, payload)
+
+    def _keep(self, spec: RunSpec, payload: dict) -> NetworkResult:
+        """Store a fresh run's payload and hold its decoded result."""
         if self.store is not None:
             self.store.put_run(spec, payload)
         result = result_from_payload(payload, spec.config, spec.options)
         assert result is not None  # freshly encoded payloads always decode
-        self._memory[key] = result
+        self._memory[spec.key()] = result
         self.fresh += 1
         return result
 
@@ -166,6 +176,8 @@ class Executor:
         tracer = get_tracer()
         pass_start = tracer.wall()
         specs = plan.specs if isinstance(plan, Plan) else tuple(plan)
+        # Loads every stored run into memory; the rest are simulated
+        # below, so memory ends up holding the full matrix.
         pending = self._missing(specs)
         fresh_before = self.fresh
         failed: dict[str, str] = {}
@@ -174,18 +186,9 @@ class Executor:
         else:
             for spec in pending:
                 try:
-                    self.run(spec)
+                    self._simulate(spec)
                 except Exception as exc:  # surfaced per-run, not raised
                     failed[spec.key()] = _failure_message(spec, exc)
-        # Touch every planned spec so memory holds the full matrix and
-        # the hit/fresh counters reflect the whole plan.
-        for spec in specs:
-            key = spec.key()
-            if key not in self._memory and key not in failed:
-                try:
-                    self.run(spec)
-                except Exception as exc:
-                    failed[key] = _failure_message(spec, exc)
         fresh = self.fresh - fresh_before
         report = ExecutionReport(
             planned=len(specs),
@@ -212,18 +215,15 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _missing(self, specs: Iterable[RunSpec]) -> list[RunSpec]:
-        """Planned specs with no memory or store entry (dedup by key)."""
-        missing: list[RunSpec] = []
-        seen: set[str] = set()
+        """Planned specs with no result in memory or the store (dedup by
+        key).  Stored entries are read here, once: one that decodes is
+        kept in memory, one that does not is missing like an absent one."""
+        missing: dict[str, RunSpec] = {}
         for spec in specs:
             key = spec.key()
-            if key in seen or key in self._memory:
-                continue
-            seen.add(key)
-            if self.store is not None and self.store.run_path(spec).exists():
-                continue
-            missing.append(spec)
-        return missing
+            if key not in missing and self._lookup(spec) is None:
+                missing[key] = spec
+        return list(missing.values())
 
     def _execute_parallel(self, pending: list[RunSpec], jobs: int) -> dict[str, str]:
         """Fan *pending* out over worker processes in chunks.
@@ -261,12 +261,7 @@ class Executor:
                     if error is not None:
                         failed[spec.key()] = f"{spec.describe()}: {error}"
                         continue
-                    if self.store is not None:
-                        self.store.put_run(spec, payload)
-                    result = result_from_payload(payload, spec.config, spec.options)
-                    assert result is not None
-                    self._memory[spec.key()] = result
-                    self.fresh += 1
+                    self._keep(spec, payload)
         return failed
 
 

@@ -25,9 +25,9 @@ from repro.gpu.config import GpuConfig, SimOptions
 from repro.runs.spec import PlanContext, RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
+    from repro.gpu.simulator import NetworkResult
     from repro.harness.report import Check, ExperimentResult
     from repro.runs.executor import Executor
-    from repro.runs.store import StoredNetworkResult
 
 
 class RunView:
@@ -48,7 +48,7 @@ class RunView:
         network: str,
         config: GpuConfig,
         options: SimOptions | None = None,
-    ) -> "StoredNetworkResult":
+    ) -> "NetworkResult":
         """The cached result of one run (simulating only on a planner miss)."""
         return self._executor.run(RunSpec(network, config, options or self.ctx.options))
 

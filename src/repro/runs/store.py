@@ -7,12 +7,17 @@ simulation result the project produces, at two granularities:
 * **kernel entries** — one JSON file per (kernel signature, config,
   options, engine) key in the store root, written by
   :func:`repro.gpu.simulator.simulate_network` through
-  :class:`KernelResultCache` (unchanged format from the former
-  ``repro.perf.cache``, which now re-exports from here);
+  :class:`KernelResultCache`;
 * **network-run entries** — one JSON file per
   :class:`~repro.runs.spec.RunSpec` key under the ``runs/``
   subdirectory, written by :class:`~repro.runs.executor.Executor`.
-  These absorb the cache half of the former ``harness/runner.py``.
+
+Both layers hold :class:`~repro.gpu.simulator.KernelResult` records
+through one codec (:func:`kernel_to_record` / :func:`kernel_from_record`),
+and both decode back to the simulator's own result types: a kernel
+entry to a ``KernelResult``, a run entry to a
+:class:`~repro.gpu.simulator.NetworkResult` whose kernels carry a
+:class:`StoredKernelInfo` as their launch identity.
 
 Both layers share the invalidation contract: every field of the frozen
 config/options dataclasses plus the active engine's version string
@@ -31,12 +36,13 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.gpu.engine import engine_version
 from repro.gpu.occupancy import Occupancy
+from repro.gpu.simulator import KernelResult, NetworkResult
 from repro.profiling.stats import KernelStats
 from repro.runs.spec import RunSpec
 
@@ -69,14 +75,30 @@ def cache_key(signature: str, config: GpuConfig, options: SimOptions) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass
-class CachedKernel:
-    """One deserialized kernel entry (everything a hit must restore)."""
+#: Errors a malformed or schema-mismatched payload raises while decoding.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
-    stats: KernelStats
-    occupancy: Occupancy
-    sample_factor: float
-    block_factor: float
+
+def kernel_to_record(result: KernelResult) -> dict:
+    """The per-kernel fields every stored entry carries, JSON-ready."""
+    return {
+        "stats": result.stats.to_dict(),
+        "occupancy": asdict(result.occupancy),
+        "sample_factor": result.sample_factor,
+        "block_factor": result.block_factor,
+    }
+
+
+def kernel_from_record(kernel, record: dict) -> KernelResult:
+    """Inverse of :func:`kernel_to_record` for the launch *kernel*;
+    raises one of ``_MALFORMED`` on a malformed record."""
+    return KernelResult(
+        kernel=kernel,
+        stats=KernelStats.from_dict(record["stats"]),
+        occupancy=Occupancy(**record["occupancy"]),
+        sample_factor=record["sample_factor"],
+        block_factor=record["block_factor"],
+    )
 
 
 class KernelResultCache:
@@ -100,10 +122,11 @@ class KernelResultCache:
         return self.cache_dir / f"{key}.json"
 
     def get(
-        self, signature: str, config: GpuConfig, options: SimOptions
-    ) -> CachedKernel | None:
-        """Look up one kernel result; None on miss or unreadable entry."""
-        key = cache_key(signature, config, options)
+        self, kernel, config: GpuConfig, options: SimOptions
+    ) -> KernelResult | None:
+        """Look up the result of launch *kernel* (anything with a
+        ``signature()``); None on miss or unreadable entry."""
+        key = cache_key(kernel.signature(), config, options)
         payload = self._memory.get(key)
         if payload is None:
             try:
@@ -111,35 +134,25 @@ class KernelResultCache:
             except (OSError, ValueError):
                 self.misses += 1
                 return None
-        entry = _decode(payload)
-        if entry is None:
+        try:
+            if payload["engine"] != engine_version():
+                raise ValueError("stale engine")
+            result = kernel_from_record(kernel, payload)
+        except _MALFORMED:
             # Corrupt/stale schema: forget it so a store can heal it.
             self._memory.pop(key, None)
             self.misses += 1
             return None
         self._memory[key] = payload
         self.hits += 1
-        return entry
+        return result
 
     def put(
-        self,
-        signature: str,
-        config: GpuConfig,
-        options: SimOptions,
-        stats: KernelStats,
-        occupancy: Occupancy,
-        sample_factor: float,
-        block_factor: float,
+        self, result: KernelResult, config: GpuConfig, options: SimOptions
     ) -> None:
         """Store one kernel result (best-effort; IO errors are ignored)."""
-        key = cache_key(signature, config, options)
-        payload = {
-            "engine": engine_version(),
-            "stats": stats.to_dict(),
-            "occupancy": asdict(occupancy),
-            "sample_factor": sample_factor,
-            "block_factor": block_factor,
-        }
+        key = cache_key(result.kernel.signature(), config, options)
+        payload = {"engine": engine_version(), **kernel_to_record(result)}
         self._memory[key] = payload
         self.stores += 1
         try:
@@ -172,27 +185,18 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _decode(payload: dict) -> CachedKernel | None:
-    """Payload dict -> CachedKernel, or None when malformed."""
-    try:
-        if payload["engine"] != engine_version():
-            return None
-        return CachedKernel(
-            stats=KernelStats.from_dict(payload["stats"]),
-            occupancy=Occupancy(**payload["occupancy"]),
-            sample_factor=payload["sample_factor"],
-            block_factor=payload["block_factor"],
-        )
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-
-
 # ----------------------------------------------------------------------
 # whole-network run entries
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StoredKernelInfo:
-    """Identity of one kernel launch inside a stored network run."""
+    """Launch identity of a decoded or mapped kernel.
+
+    Stands in for :class:`~repro.kernels.launch.KernelLaunch` as a
+    :class:`~repro.gpu.simulator.KernelResult`'s ``kernel`` when no live
+    launch exists: a kernel decoded from a run entry, or a layer plan
+    timed by :mod:`repro.mapping.execute`.
+    """
 
     name: str
     node_name: str
@@ -205,74 +209,8 @@ class StoredKernelInfo:
         return self.sig
 
 
-@dataclass
-class StoredKernelResult:
-    """Kernel entry of a stored run (API-compatible with KernelResult)."""
-
-    kernel: StoredKernelInfo
-    stats: KernelStats
-    occupancy: Occupancy
-    sample_factor: float
-    block_factor: float
-
-    @property
-    def category(self) -> str:
-        """Layer-type category."""
-        return self.kernel.category
-
-
-@dataclass
-class StoredNetworkResult:
-    """Stored network run exposing the ``NetworkResult`` read API.
-
-    The power models, nvprof front-end and serving latency profiles all
-    duck-type against this: it carries per-kernel stats *and* the
-    occupancy/sampling fields :func:`repro.serve.profiles.profile_from_result`
-    needs, so one store feeds every consumer.
-    """
-
-    network: str
-    config: GpuConfig
-    options: SimOptions
-    kernels: list[StoredKernelResult] = field(default_factory=list)
-    #: Distinct canonical kernel signatures in the launch sequence —
-    #: the number of simulations the dedup path actually ran.
-    unique_kernels: int = 0
-
-    @property
-    def total_cycles(self) -> float:
-        """End-to-end cycles."""
-        return sum(k.stats.cycles for k in self.kernels)
-
-    @property
-    def total_time_ms(self) -> float:
-        """End-to-end milliseconds at the platform clock."""
-        return self.total_cycles / (self.config.clock_ghz * 1e6)
-
-    def cycles_by_category(self) -> dict[str, float]:
-        """Cycles per layer-type category."""
-        out: dict[str, float] = {}
-        for k in self.kernels:
-            out[k.category] = out.get(k.category, 0.0) + k.stats.cycles
-        return out
-
-    def stats_by_category(self) -> dict[str, KernelStats]:
-        """Merged counters per layer-type category."""
-        out: dict[str, KernelStats] = {}
-        for k in self.kernels:
-            out.setdefault(k.category, KernelStats()).merge(k.stats)
-        return out
-
-    def aggregate(self) -> KernelStats:
-        """Whole-network merged counters."""
-        total = KernelStats()
-        for k in self.kernels:
-            total.merge(k.stats)
-        return total
-
-
-def result_to_payload(result) -> dict:
-    """JSON payload of a live ``NetworkResult`` (or stored clone)."""
+def result_to_payload(result: NetworkResult) -> dict:
+    """JSON payload of a network run (live, decoded or mapped)."""
     return {
         "engine": engine_version(),
         "network": result.network,
@@ -284,10 +222,7 @@ def result_to_payload(result) -> dict:
                 "category": k.category,
                 "signature": k.kernel.signature(),
                 "total_blocks": k.kernel.total_blocks,
-                "stats": k.stats.to_dict(),
-                "occupancy": asdict(k.occupancy),
-                "sample_factor": k.sample_factor,
-                "block_factor": k.block_factor,
+                **kernel_to_record(k),
             }
             for k in result.kernels
         ],
@@ -296,36 +231,32 @@ def result_to_payload(result) -> dict:
 
 def result_from_payload(
     payload: dict, config: GpuConfig, options: SimOptions
-) -> StoredNetworkResult | None:
-    """Payload dict -> StoredNetworkResult, or None when malformed."""
+) -> NetworkResult | None:
+    """Payload dict -> NetworkResult, or None when malformed."""
     try:
         if payload["engine"] != engine_version():
             return None
-        out = StoredNetworkResult(
-            network=payload["network"], config=config, options=options
-        )
-        out.unique_kernels = payload.get(
-            "unique_kernels",
-            len({entry["signature"] for entry in payload["kernels"]}),
-        )
-        for entry in payload["kernels"]:
-            out.kernels.append(
-                StoredKernelResult(
-                    kernel=StoredKernelInfo(
-                        name=entry["name"],
-                        node_name=entry["node_name"],
-                        category=entry["category"],
-                        sig=entry["signature"],
-                        total_blocks=entry["total_blocks"],
-                    ),
-                    stats=KernelStats.from_dict(entry["stats"]),
-                    occupancy=Occupancy(**entry["occupancy"]),
-                    sample_factor=entry["sample_factor"],
-                    block_factor=entry["block_factor"],
-                )
+        kernels = [
+            kernel_from_record(
+                StoredKernelInfo(
+                    name=entry["name"],
+                    node_name=entry["node_name"],
+                    category=entry["category"],
+                    sig=entry["signature"],
+                    total_blocks=entry["total_blocks"],
+                ),
+                entry,
             )
-        return out
-    except (KeyError, TypeError, ValueError, AttributeError):
+            for entry in payload["kernels"]
+        ]
+        unique = payload.get(
+            "unique_kernels", len({k.kernel.sig for k in kernels})
+        )
+        return NetworkResult(
+            network=payload["network"], config=config, options=options,
+            kernels=kernels, unique_kernels=unique,
+        )
+    except _MALFORMED:
         return None
 
 
@@ -353,7 +284,7 @@ class ResultStore:
         name = f"{spec.network}-{spec.config.name}-{spec.key()[:24]}.json"
         return self.cache_dir / RUNS_SUBDIR / name
 
-    def get_run(self, spec: RunSpec) -> StoredNetworkResult | None:
+    def get_run(self, spec: RunSpec) -> NetworkResult | None:
         """Look up one network run; None on miss or unreadable entry."""
         try:
             payload = json.loads(self.run_path(spec).read_text())

@@ -5,6 +5,7 @@
     PYTHONPATH=src python tests/golden/regen.py campaign     # < 1 minute
     PYTHONPATH=src python tests/golden/regen.py serve-scale  # seconds
     PYTHONPATH=src python tests/golden/regen.py serve-matrix # seconds
+    PYTHONPATH=src python tests/golden/regen.py store-bytes  # seconds
 
 ``campaign`` rewrites the committed golden Pareto frontiers in
 ``examples/`` (``smoke_frontier.json``, ``l1_sweep_frontier.json``)
@@ -13,7 +14,9 @@ that ``repro campaign compare`` and CI's campaign-smoke job gate on.
 ``examples/serve_scale.toml`` at light fidelity that CI's serve-scale
 job gates on.  ``serve-matrix`` rewrites ``serve_matrix.json``, the
 stats digest of every serving determinism-matrix case in
-``tests/test_serve_engine.py``.
+``tests/test_serve_engine.py``.  ``store-bytes`` rewrites
+``store_bytes.sha256``, the hash of every file two golden runs write
+into a fresh result store (``tests/test_store_format.py``).
 
 Only regenerate for an *intentional* behavioral change (engine bump,
 new network weights, QoR-model change); the tests pin these bytes on
@@ -90,6 +93,17 @@ def regen_serve_matrix() -> None:
     print(f"wrote {SERVE_MATRIX}")
 
 
+def regen_store_bytes() -> None:
+    import tempfile
+
+    from test_store_format import STORE_BYTES, fill_store, store_digest
+
+    with tempfile.TemporaryDirectory() as tmp:
+        fill_store(Path(tmp))
+        STORE_BYTES.write_text(store_digest(Path(tmp)) + "\n")
+    print(f"wrote {STORE_BYTES}")
+
+
 def main() -> None:
     which = sys.argv[1] if len(sys.argv) > 1 else "fixture"
     if which == "fixture":
@@ -107,10 +121,14 @@ def main() -> None:
     elif which == "serve-matrix":
         regen_serve_matrix()
         return
+    elif which == "store-bytes":
+        regen_store_bytes()
+        return
     else:
         raise SystemExit(
             f"unknown target {which!r} "
-            f"(expected fixture|full|campaign|serve-scale|serve-matrix)"
+            f"(expected fixture|full|campaign|serve-scale|serve-matrix|"
+            f"store-bytes)"
         )
     print(f"wrote {path}")
 

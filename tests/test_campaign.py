@@ -9,6 +9,7 @@ campaign-smoke job instead.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -31,6 +32,8 @@ from repro.campaign.expand import AXIS_ORDER, CampaignPoint, point_options
 from repro.campaign.spec import CAMPAIGN_KEYS, FRONTIER_KEYS, TOP_LEVEL_KEYS
 from repro.runs import Executor, ResultStore
 from tests.spec_trees import mutations, tables
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def spec_dict(**over) -> dict:
@@ -299,6 +302,50 @@ class TestRunCampaign:
         # cifarnet still priced and on the frontier
         assert len(result.rows) == 2
         assert all(r.point.network == "cifarnet" for r in result.rows)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crash is injected into pool workers by fork inheritance",
+    )
+    def test_resume_after_worker_crash_reaches_the_same_frontier(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runs.executor as executor_mod
+
+        spec = load_campaign(EXAMPLES / "smoke_campaign.toml")
+        store_dir = tmp_path / "store"
+        marker = tmp_path / "crashed"
+        parent = os.getpid()
+        real = executor_mod._simulate_spec
+
+        def crash_one_worker(run, store):
+            if os.getpid() != parent:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return real(run, store)
+
+        # Patched before the pool forks, so its workers inherit it.
+        monkeypatch.setattr(executor_mod, "_simulate_spec", crash_one_worker)
+        crashed = run_campaign(spec, store=ResultStore(store_dir), jobs=2)
+        monkeypatch.undo()
+        assert marker.exists()
+        assert not crashed.ok and crashed.report.failed
+        assert len(crashed.rows) + len(crashed.skipped) == 8
+        assert all(
+            "BrokenProcessPool" in error
+            for error in crashed.report.failed.values()
+        )
+        assert not list(store_dir.rglob("*.tmp"))
+
+        resumed = run_campaign(spec, store=ResultStore(store_dir), jobs=2)
+        assert resumed.ok
+        assert resumed.report.fresh == len(crashed.report.failed)
+        uninterrupted = run_campaign(spec)
+        assert resumed.frontier_payload() == uninterrupted.frontier_payload()
 
     def test_to_dict_roundtrips_through_json(self, tmp_path):
         spec = campaign_from_dict(spec_dict(network=["gru"]))

@@ -16,6 +16,7 @@ import pytest
 
 from repro.gpu.config import GpuConfig, SimOptions
 from repro.gpu.simulator import simulate_network
+from repro.kernels.compile import compiled_network
 from repro.platforms import GP102
 from repro.runs.store import KernelResultCache, cache_key, default_cache_dir
 
@@ -80,7 +81,7 @@ class TestKeyContract:
             payload["engine"] = "fast-0"
             path.write_text(json.dumps(payload))
         stale = KernelResultCache(tmp_path)
-        assert stale.get(self.SIG, GP102, options) is None
+        assert stale.get(compiled_network("gru")[0], GP102, options) is None
         result = simulate_network("gru", GP102, options, cache=stale)
         assert stale.hits == 0 and result.kernels
 

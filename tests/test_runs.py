@@ -158,6 +158,56 @@ class TestExecutor:
         for spec in specs:
             assert parallel.run(spec).total_cycles == serial.run(spec).total_cycles
 
+    def test_every_path_returns_the_simulator_result_types(self, tmp_path):
+        from repro.gpu.simulator import KernelResult, NetworkResult
+        from repro.platforms import make_config
+
+        gpu = RunSpec("gru", GP102, LIGHT)
+        runs = {
+            "fresh": Executor(ResultStore(tmp_path)).run(gpu),
+            "stored": Executor(ResultStore(tmp_path)).run(gpu),
+            "mapped": Executor().run(RunSpec("gru", make_config("s2npu"), LIGHT)),
+        }
+        for how, result in runs.items():
+            assert type(result) is NetworkResult, how
+            assert result.kernels, how
+            assert all(type(k) is KernelResult for k in result.kernels), how
+
+    def test_undecodable_entries_are_simulated_in_the_pool(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.runs import executor as executor_mod
+
+        specs = [
+            RunSpec("gru", GP102, LIGHT),
+            RunSpec("gru", TX1, LIGHT),
+            RunSpec("cifarnet", GP102, LIGHT),
+        ]
+        store = ResultStore(tmp_path)
+        Executor(store).execute(specs)
+        store.run_path(specs[0]).write_text("{broken")
+        schema = json.loads(store.run_path(specs[2]).read_text())
+        del schema["kernels"]
+        store.run_path(specs[2]).write_text(json.dumps(schema))
+
+        parent = os.getpid()
+        in_parent: list[str] = []
+        real = executor_mod._simulate_spec
+
+        def spy(spec, store):
+            if os.getpid() == parent:
+                in_parent.append(spec.describe())
+            return real(spec, store)
+
+        monkeypatch.setattr(executor_mod, "_simulate_spec", spy)
+        report = Executor(ResultStore(tmp_path)).execute(specs, jobs=2)
+        assert (report.fresh, report.cached, report.failed) == (2, 1, {})
+        assert in_parent == []
+        healed = ResultStore(tmp_path)
+        assert all(healed.get_run(spec) is not None for spec in specs)
+
     def test_parallel_execute_chunks_large_plans(self, tmp_path):
         from repro.runs import executor as executor_mod
 

@@ -101,14 +101,3 @@ class TestPerfCacheRemoval:
         sys.modules.pop("repro.perf.cache", None)
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.perf.cache")
-
-    def test_perf_package_re_exports_store_layer(self):
-        import warnings
-
-        sys.modules.pop("repro.perf", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            module = importlib.import_module("repro.perf")
-        from repro.runs.store import KernelResultCache
-
-        assert module.KernelResultCache is KernelResultCache
