@@ -22,9 +22,8 @@ import time
 from pathlib import Path
 
 from repro.gpu.config import SimOptions
-from repro.platforms import make_config
 from repro.runs import ResultStore
-from repro.serve import build_profiles, load_scenario, run_serve
+from repro.serve import build_profiles, load_scenario
 
 SCENARIO = Path(__file__).parent / "day_in_the_life.toml"
 
@@ -38,17 +37,13 @@ def main() -> None:
           f"{scenario.autoscale.max_devices}]")
 
     print("building latency profiles (cached after the first run)...")
-    platforms = [device.platform for device in fleet]
-    platforms.append(make_config(scenario.autoscale.template))
     profiles = build_profiles(
-        list(scenario.networks), platforms, SimOptions().light(), ResultStore(),
+        scenario.networks, scenario.platforms(), SimOptions().light(),
+        ResultStore(),
     )
 
     start = time.perf_counter()
-    stats = run_serve(
-        fleet, profiles, scenario.workload(), scenario.config,
-        pipeline=scenario.pipeline(),
-    )
+    stats = scenario.sim(profiles).run()
     wall_s = time.perf_counter() - start
     print(f"\n{stats.offered:,} requests in {wall_s:.1f} s of wall clock "
           f"({stats.offered / wall_s:,.0f} req/s through the engine); "

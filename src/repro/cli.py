@@ -40,7 +40,11 @@ Subcommands:
     harness uses — a prior harness sweep makes ``repro serve`` start
     warm — then a workload (``--arrival poisson|bursty|trace|closed``)
     is scheduled across the fleet with dynamic batching, bounded queues
-    and a choice of schedulers.  Reports latency tails, goodput, SLO
+    and a choice of schedulers.  Every run is a serving scenario
+    (:mod:`repro.serve.scenario`): ``--scenario FILE`` loads one, and
+    the workload/fleet/policy flags are shorthand for a one-tenant
+    scenario (one per ``--scheduler`` name) loaded the same way, with
+    the grammar's defaults.  Reports latency tails, goodput, SLO
     violations and per-device utilization; ``--json`` and ``--report``
     emit machine- and markdown-readable forms.
 
@@ -78,8 +82,7 @@ Subcommands:
 Shared flags behave identically everywhere they appear: ``--json``
 (machine-readable stdout), ``--jobs N`` (worker processes),
 ``--cache-dir DIR`` / ``--no-cache`` (the unified result store) and
-``--fidelity default|light`` (simulation sampling; ``--light`` is the
-legacy spelling).
+``--fidelity default|light`` (simulation sampling).
 
 Also invocable as ``python -m repro ...``.
 """
@@ -103,6 +106,10 @@ from repro.gpu.scheduler import SCHEDULERS as WARP_SCHEDULERS
 from repro.perf.serve_bench import DEVICES as SERVE_BENCH_DEVICES
 from repro.perf.serve_bench import REQUESTS as SERVE_BENCH_REQUESTS
 from repro.serve.admission import ADMISSION_POLICIES
+from repro.serve.engine import ServeConfig
+from repro.serve.scenario import SERVING_FIELDS, arrival_fields
+from repro.serve.schedulers import SCHEDULERS as SERVE_SCHEDULERS
+from repro.serve.tenants import DEFAULT_TENANT_NAME
 
 
 def _check_networks(names: list[str]) -> int | None:
@@ -147,22 +154,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _light_requested(args: argparse.Namespace) -> bool:
-    """Either spelling of the fast sampling mode: ``--fidelity light``
-    or the legacy ``--light``."""
-    return (
-        getattr(args, "light", False)
-        or getattr(args, "fidelity", "default") == "light"
-    )
-
-
 def _sim_options(args: argparse.Namespace):
     from repro.gpu import engine
     from repro.gpu.config import SimOptions
 
     engine.set_engine(getattr(args, "engine", None))
     options = SimOptions(scheduler=args.scheduler)
-    if _light_requested(args):
+    if args.fidelity == "light":
         options = options.light()
     return options
 
@@ -285,119 +283,64 @@ def _bench_finish(args: argparse.Namespace, payload: dict, output: str) -> int:
     return 0
 
 
-def _make_workload(args: argparse.Namespace, names: list[str]):
-    from repro.serve.workload import (
-        BurstyWorkload,
-        ClosedLoopWorkload,
-        PoissonWorkload,
-        TraceWorkload,
-    )
-
-    if args.arrival == "poisson":
-        return PoissonWorkload(args.rps, args.requests, names)
-    if args.arrival == "bursty":
-        return BurstyWorkload(
-            args.rps, args.requests, names,
-            on_ms=args.burst_on_ms, off_ms=args.burst_off_ms,
-            off_factor=args.burst_off_factor,
-        )
-    if args.arrival == "closed":
-        return ClosedLoopWorkload(
-            args.clients, args.requests, names, think_ms=args.think_ms
-        )
-    if args.trace is None:
-        print("--arrival trace requires --trace PATH", file=sys.stderr)
-        return None
-    return TraceWorkload.from_json(args.trace)
+def _flag_trees(args: argparse.Namespace) -> list[dict]:
+    """The workload/fleet/policy flags as scenario trees, one per
+    ``--scheduler`` name, each with one tenant named ``default``."""
+    if args.arrival == "trace":
+        arrival = {"kind": "trace", "path": args.trace}
+    else:
+        arrival = {
+            "kind": args.arrival,
+            "networks": args.networks.split(","),
+            **{key: getattr(args, key) for key in arrival_fields(args.arrival)},
+        }
+    tenant = {"name": DEFAULT_TENANT_NAME, "slo_ms": args.slo_ms, "arrival": arrival}
+    return [
+        {
+            "scenario": {"name": "repro serve", "seed": args.seed},
+            "fleet": {"devices": args.devices},
+            "serving": {
+                "scheduler": name,
+                **{key: getattr(args, key) for key in SERVING_FIELDS},
+            },
+            "admission": {"policy": args.admission},
+            "tenants": [tenant],
+        }
+        for name in args.scheduler.split(",")
+    ]
 
 
 def _serve_prepare(
     args: argparse.Namespace, quiet: bool = False, refresh: bool = False
 ):
-    """Validate serve arguments and build fleet, profiles and workload.
+    """Load the serving runs (``--scenario`` or :func:`_flag_trees`) and
+    build their latency profiles, timing the build.
 
-    Returns an int exit code on error, else the tuple ``(fleet,
-    profiles, workload, schedulers, base_config, scenario)`` where
-    ``scenario`` is the loaded :class:`~repro.serve.ServeScenario` for
-    ``--scenario`` runs and None otherwise.  Shared by ``repro serve``
-    and ``repro trace serve`` (which passes ``refresh=True`` so profile
-    building re-simulates and the trace captures the GPU layer too).
+    Returns an int exit code on error, else ``(scenarios, profiles)``.
+    Shared by ``repro serve`` and ``repro trace serve`` (which passes
+    ``refresh=True`` so profile building re-simulates and the trace
+    captures the GPU layer too).
     """
-    from repro.gpu.config import SimOptions
-    from repro.platforms import make_config
-    from repro.serve import ServeConfig, build_fleet, build_profiles
-    from repro.serve.schedulers import SCHEDULERS
-
-    scenario = None
-    if getattr(args, "scenario", None):
-        from repro.serve import ScenarioError, load_scenario
-
-        try:
-            scenario = load_scenario(args.scenario)
-        except ScenarioError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        names = list(scenario.networks)
-        fleet = scenario.fleet()
-        workload = scenario.workload()
-        schedulers = [scenario.config.scheduler]
-        base = scenario.config
-    else:
-        names = [name for name in args.networks.split(",") if name]
-        err = _check_networks(names)
-        if err is not None:
-            return err
-        schedulers = [name for name in args.scheduler.split(",") if name]
-        unknown = [name for name in schedulers if name not in SCHEDULERS]
-        if unknown:
-            print(
-                f"unknown scheduler(s): {', '.join(unknown)}; "
-                f"available: {', '.join(SCHEDULERS)}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            fleet = build_fleet(args.devices)
-        except (KeyError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        workload = _make_workload(args, names)
-        if workload is None:
-            return 2
-        base = ServeConfig(
-            slo_ms=args.slo_ms,
-            max_batch=args.batch,
-            batch_timeout_ms=args.batch_timeout_ms,
-            max_queue=args.queue,
-            seed=args.seed,
-            admission=args.admission,
-        )
-
-    # Profiles use the simulator's default warp scheduler; ``--scheduler``
-    # here names the *serving* policy, not the warp scheduler.  The
-    # autoscaler template needs profiles too: scale-ups may add devices
-    # of a platform absent from the initial fleet.
-    platforms = [device.platform for device in fleet]
-    if scenario is not None and scenario.autoscale is not None:
-        platforms.append(make_config(scenario.autoscale.template))
-    options = SimOptions(scheduler=args.sim_scheduler)
-    if _light_requested(args):
-        options = options.light()
-    profiles, build_s, detail = _serve_profiles(args, names, platforms, options, refresh)
-    if not quiet and not args.json:
-        print(f"fleet: {' '.join(device.name for device in fleet)}")
-        print(f"profiles: {len(profiles)} built in {build_s:.2f} s {detail}")
-
-    return fleet, profiles, workload, schedulers, base, scenario
-
-
-def _serve_profiles(args, names, platforms, options, refresh):
-    """Build the latency-profile table, timing the build."""
     import time
 
+    from repro.gpu.config import SimOptions
     from repro.runs import Executor, ResultStore
-    from repro.serve import build_profiles
+    from repro.serve import ScenarioError, build_profiles, load_scenario
 
+    sources = [args.scenario] if args.scenario else _flag_trees(args)
+    try:
+        scenarios = [load_scenario(source) for source in sources]
+    except ScenarioError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+
+    # Profiles use the simulator's warp scheduler (``--sim-scheduler``);
+    # ``--scheduler`` names the *serving* policy.
+    names = sorted({name for scenario in scenarios for name in scenario.networks})
+    platforms = [p for scenario in scenarios for p in scenario.platforms()]
+    options = SimOptions(scheduler=args.sim_scheduler)
+    if args.fidelity == "light":
+        options = options.light()
     store = None if args.no_cache else ResultStore(args.cache_dir)
     executor = Executor(store)
     start = time.perf_counter()
@@ -405,31 +348,29 @@ def _serve_profiles(args, names, platforms, options, refresh):
         names, platforms, options,
         executor=executor, jobs=getattr(args, "jobs", 1), refresh=refresh,
     )
-    build_s = time.perf_counter() - start
-    detail = (
-        f"(runs: {executor.fresh} fresh, {store.run_hits} cached)"
-        if store is not None else "(uncached)"
-    )
-    return profiles, build_s, detail
+    if not quiet and not args.json:
+        detail = (
+            f"(runs: {executor.fresh} fresh, {store.run_hits} cached)"
+            if store is not None else "(uncached)"
+        )
+        fleet = scenarios[0].fleet()
+        print(f"fleet: {' '.join(device.name for device in fleet)}")
+        print(f"profiles: {len(profiles)} built in "
+              f"{time.perf_counter() - start:.2f} s {detail}")
+    return scenarios, profiles
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
-    from dataclasses import replace
-
-    from repro.serve import run_serve
 
     prep = _serve_prepare(args)
     if isinstance(prep, int):
         return prep
-    fleet, profiles, workload, schedulers, base, scenario = prep
-    if scenario is not None:
-        configs = [(base, scenario.pipeline())]
-    else:
-        configs = [(replace(base, scheduler=name), None) for name in schedulers]
+    scenarios, profiles = prep
     runs = []
     run_metrics = []
-    for config, pipeline in configs:
+    for scenario in scenarios:
+        sim = scenario.sim(profiles)
         if args.report:
             # capture the engine's histograms/gauges for the report,
             # one registry per run so schedulers don't merge
@@ -438,12 +379,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tracer = Tracer(warps=False)
             previous = set_tracer(tracer)
             try:
-                stats = run_serve(fleet, profiles, workload, config, pipeline)
+                stats = sim.run()
             finally:
                 set_tracer(previous)
             run_metrics.append(tracer.metrics.to_dict())
         else:
-            stats = run_serve(fleet, profiles, workload, config, pipeline)
+            stats = sim.run()
         runs.append(stats)
 
     if args.json:
@@ -497,22 +438,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.report:
         from repro.serve.report import write_serve_report
 
-        if scenario is not None:
-            params = scenario.describe()
-        else:
-            params = {
-                "networks": args.networks,
-                "devices": args.devices,
-                "arrival": args.arrival,
-                "rps": args.rps,
-                "requests": args.requests,
-                "slo_ms": args.slo_ms,
-                "max_batch": args.batch,
-                "batch_timeout_ms": args.batch_timeout_ms,
-                "max_queue": args.queue,
-                "admission": args.admission,
-                "seed": args.seed,
-            }
+        params = scenarios[0].describe()
+        params["scheduler"] = ", ".join(s.config.scheduler for s in scenarios)
         write_serve_report(args.report, runs, params, metrics=run_metrics)
         if not args.json:
             print(f"\nwrote {args.report}")
@@ -563,42 +490,32 @@ def _cmd_trace_simulate(args: argparse.Namespace) -> int:
         "networks": names,
         "platform": config.name,
         "scheduler": args.scheduler,
-        "fidelity": "light" if _light_requested(args) else "default",
+        "fidelity": args.fidelity,
     })
     _print_trace_outcome(args, tracer, payload)
     return 0
 
 
 def _cmd_trace_serve(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.obs import set_tracer, write_trace
-    from repro.serve import run_serve
 
     tracer = _trace_tracer(args)
     previous = set_tracer(tracer)
-    schedulers: list[str] = []
-    scenario = None
     try:
         prep = _serve_prepare(args, quiet=True, refresh=True)
         if isinstance(prep, int):
             return prep
-        fleet, profiles, workload, schedulers, base, scenario = prep
-        if scenario is not None:
-            run_serve(
-                fleet, profiles, workload, base, pipeline=scenario.pipeline()
-            )
-        else:
-            for name in schedulers:
-                run_serve(fleet, profiles, workload, replace(base, scheduler=name))
+        scenarios, profiles = prep
+        for scenario in scenarios:
+            scenario.sim(profiles).run()
     finally:
         set_tracer(previous)
     payload = write_trace(tracer, args.output, meta={
         "command": "trace serve",
-        "networks": ",".join(scenario.networks) if scenario else args.networks,
-        "devices": scenario.fleet_spec if scenario else args.devices,
-        "schedulers": ",".join(schedulers),
-        "arrival": "scenario" if scenario else args.arrival,
+        "networks": ",".join(scenarios[0].networks),
+        "devices": scenarios[0].fleet_spec,
+        "schedulers": ",".join(s.config.scheduler for s in scenarios),
+        "arrival": "scenario" if args.scenario else args.arrival,
     })
     _print_trace_outcome(args, tracer, payload)
     return 0
@@ -922,68 +839,74 @@ def _add_fidelity_args(sub_parser: argparse.ArgumentParser) -> None:
                             help="simulation sampling fidelity: 'light' "
                                  "is fast for smoke tests but not "
                                  "comparable to default runs")
-    sub_parser.add_argument("--light", action="store_true",
-                            help="alias for --fidelity light")
 
 
 def _add_serve_args(sub_parser: argparse.ArgumentParser) -> None:
     """Workload/fleet/policy arguments shared by ``serve`` and
-    ``trace serve`` (store and output flags come from the parents)."""
+    ``trace serve`` (store and output flags come from the parents).
+
+    They are shorthand for a one-tenant scenario (:func:`_flag_trees`),
+    so their defaults are the scenario grammar's.
+    """
+    arrival = {**arrival_fields("closed"), **arrival_fields("bursty")}
+    default = " (default: %(default)s)"
     sub_parser.add_argument("--networks", default="alexnet,resnet",
                             metavar="A,B",
                             help="comma-separated networks to serve "
                                  "(default: alexnet,resnet; extensions like "
                                  "mobilenet are accepted)")
     sub_parser.add_argument("--devices", default="gp102:2,tx1", metavar="SPEC",
-                            help="fleet spec, e.g. gp102:2,tx1 "
-                                 "(default: gp102:2,tx1)")
+                            help="fleet spec, e.g. gp102:2,tx1" + default)
     sub_parser.add_argument("--arrival", default="poisson",
                             choices=("poisson", "bursty", "trace", "closed"),
-                            help="workload shape (default: poisson)")
-    sub_parser.add_argument("--rps", type=float, default=100.0,
-                            help="offered request rate for poisson/bursty "
-                                 "(default: 100)")
-    sub_parser.add_argument("--requests", type=int, default=10000, metavar="N",
-                            help="number of requests (default: 10000)")
-    sub_parser.add_argument("--slo-ms", type=float, default=50.0,
-                            help="latency SLO in milliseconds (default: 50)")
-    sub_parser.add_argument("--batch", type=int, default=8, metavar="B",
-                            help="dynamic batcher max batch size (default: 8)")
-    sub_parser.add_argument("--batch-timeout-ms", type=float, default=2.0,
+                            help="workload shape" + default)
+    sub_parser.add_argument("--rps", type=float, default=arrival["rps"],
+                            help="offered request rate for poisson/bursty" + default)
+    sub_parser.add_argument("--requests", type=int, default=arrival["requests"],
+                            metavar="N", help="number of requests" + default)
+    sub_parser.add_argument("--slo-ms", type=float, default=SERVING_FIELDS["slo_ms"],
+                            help="latency SLO in milliseconds" + default)
+    sub_parser.add_argument("--batch", type=int, dest="max_batch", metavar="B",
+                            default=SERVING_FIELDS["max_batch"],
+                            help="dynamic batcher max batch size" + default)
+    sub_parser.add_argument("--batch-timeout-ms", type=float,
+                            default=SERVING_FIELDS["batch_timeout_ms"],
                             help="max co-batching wait for a queued head "
-                                 "request (default: 2)")
-    sub_parser.add_argument("--queue", type=int, default=256, metavar="Q",
+                                 "request" + default)
+    sub_parser.add_argument("--queue", type=int, dest="max_queue", metavar="Q",
+                            default=SERVING_FIELDS["max_queue"],
                             help="per-device admission queue bound; overflow "
-                                 "is shed (default: 256)")
-    sub_parser.add_argument("--scheduler", default="latency-aware",
+                                 "is shed" + default)
+    sub_parser.add_argument("--scheduler", default=ServeConfig.scheduler,
                             metavar="NAME[,NAME]",
                             help="scheduling policies to run, comma-separated "
-                                 "(round-robin, least-loaded, latency-aware; "
-                                 "default: latency-aware)")
-    sub_parser.add_argument("--admission", default="none",
-                            choices=tuple(ADMISSION_POLICIES),
-                            help="admission policy: 'slo-aware' sheds "
-                                 "low-priority work under load and "
-                                 "SLO-infeasible placements (default: none)")
+                                 f"({', '.join(SERVE_SCHEDULERS)})" + default)
+    sub_parser.add_argument("--admission", default=ServeConfig.admission,
+                            metavar="POLICY",
+                            help=f"admission policy ({', '.join(ADMISSION_POLICIES)})"
+                                 ": 'slo-aware' sheds low-priority work under "
+                                 "load and SLO-infeasible placements" + default)
     sub_parser.add_argument("--scenario", default=None, metavar="PATH",
                             help="TOML/JSON multi-tenant scenario file; "
                                  "overrides the workload/fleet/policy flags "
                                  "(see examples/day_in_the_life.toml)")
-    sub_parser.add_argument("--seed", type=int, default=0,
-                            help="workload/simulation seed (default: 0)")
+    sub_parser.add_argument("--seed", type=int, default=ServeConfig.seed,
+                            help="workload/simulation seed" + default)
     sub_parser.add_argument("--trace", default=None, metavar="PATH",
                             help="JSON request log for --arrival trace")
-    sub_parser.add_argument("--clients", type=int, default=32,
-                            help="closed-loop client count (default: 32)")
-    sub_parser.add_argument("--think-ms", type=float, default=10.0,
-                            help="closed-loop mean think time (default: 10)")
-    sub_parser.add_argument("--burst-on-ms", type=float, default=100.0,
-                            help="bursty: burst window length (default: 100)")
-    sub_parser.add_argument("--burst-off-ms", type=float, default=400.0,
-                            help="bursty: quiet window length (default: 400)")
-    sub_parser.add_argument("--burst-off-factor", type=float, default=0.1,
-                            help="bursty: quiet-window rate factor "
-                                 "(default: 0.1)")
+    sub_parser.add_argument("--clients", type=int, default=arrival["clients"],
+                            help="closed-loop client count" + default)
+    sub_parser.add_argument("--think-ms", type=float, default=arrival["think_ms"],
+                            help="closed-loop mean think time" + default)
+    sub_parser.add_argument("--burst-on-ms", type=float, dest="on_ms",
+                            default=arrival["on_ms"],
+                            help="bursty: burst window length" + default)
+    sub_parser.add_argument("--burst-off-ms", type=float, dest="off_ms",
+                            default=arrival["off_ms"],
+                            help="bursty: quiet window length" + default)
+    sub_parser.add_argument("--burst-off-factor", type=float, dest="off_factor",
+                            default=arrival["off_factor"],
+                            help="bursty: quiet-window rate factor" + default)
     sub_parser.add_argument("--sim-scheduler", default="gto",
                             choices=WARP_SCHEDULERS,
                             help="warp scheduler used when building latency "

@@ -134,11 +134,6 @@ class Warp:
             "one": 1,
         }
 
-    @property
-    def active_count(self) -> int:
-        """Number of lanes doing real work."""
-        return self.n_active
-
     def current(self):
         """The decoded tuple at the program counter (None when done)."""
         if self.pc >= self.n:

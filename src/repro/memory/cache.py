@@ -20,11 +20,6 @@ class CacheStats:
     hits: float = 0.0
     misses: float = 0.0
 
-    @property
-    def miss_ratio(self) -> float:
-        """Miss ratio over all accesses (0 when idle)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def merge(self, other: "CacheStats") -> None:
         """Accumulate *other* into this instance."""
         self.accesses += other.accesses
@@ -56,17 +51,16 @@ class Cache:
         # insertion order is the recency order, membership is O(1), and
         # evicting the first key equals popping an LRU list's head.
         self._sets: list[dict[int, None]] = [{} for _ in range(self.n_sets)]
+        # Set index of a line: ``(line ^ (line >> _index_shift)) % n_sets``,
+        # inlined by every lookup below.  The XOR fold hashes the index,
+        # as GPU caches do, to avoid pathological conflicts on
+        # power-of-two strides — e.g. the 4 KB-apart weight rows of a
+        # fully-connected layer.
         self._index_shift = max(1, self.n_sets.bit_length() - 1)
         # line_bytes is a power of two (checked above): tag extraction
         # is a shift, measurably cheaper than division on the hot path.
         self._line_shift = line_bytes.bit_length() - 1
         self.stats = CacheStats()
-
-    def _set_index(self, line: int) -> int:
-        """Hashed set index (XOR-folded), as GPU caches use to avoid
-        pathological conflicts on power-of-two strides — e.g. the
-        4 KB-apart weight rows of a fully-connected layer."""
-        return (line ^ (line >> self._index_shift)) % self.n_sets
 
     @property
     def enabled(self) -> bool:

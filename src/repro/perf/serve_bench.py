@@ -3,10 +3,12 @@
 Backs ``repro bench --serve``.  The scenario is fixed — a 20-device
 GP102 fleet, two tenants (a diurnal interactive stream and a Poisson
 batch stream), least-loaded scheduling, SLO-aware admission and the
-queue-depth autoscaler — and the latency profiles are *synthetic*
-(built analytically, no GPU simulation), so the numbers measure the
-discrete-event engine alone: arrivals through admission, scheduling,
-batching, dispatch and completion.
+queue-depth autoscaler — and, like every serving run, it is a scenario
+tree loaded through :func:`~repro.serve.scenario.load_scenario`.  The
+latency profiles are *synthetic* (built analytically, no GPU
+simulation), so the numbers measure the discrete-event engine alone:
+arrivals through admission, scheduling, batching, dispatch and
+completion.
 
 The engine's one event loop is timed ``runs`` times over the identical
 scenario after an untimed warmup, and every run's
@@ -24,13 +26,9 @@ from __future__ import annotations
 import time
 
 from repro.perf.stats import summarize
-from repro.serve.autoscale import AutoscaleConfig
-from repro.serve.devices import build_fleet
-from repro.serve.engine import ServeConfig, ServeSim
-from repro.serve.pipeline import make_pipeline
+from repro.serve.engine import ServeSim
 from repro.serve.profiles import KernelTerm, LatencyProfile
-from repro.serve.tenants import MultiTenantWorkload, Tenant
-from repro.serve.workload import DiurnalWorkload, PoissonWorkload
+from repro.serve.scenario import load_scenario
 
 #: Scenario scale: enough events that a run takes whole seconds (so
 #: the Mann-Whitney test sees signal over scheduler noise), small
@@ -52,29 +50,27 @@ def _profile(network: str, base_ms: float, per_item_ms: float) -> LatencyProfile
 
 def bench_scenario(requests: int, devices: int, seed: int) -> ServeSim:
     """The fixed benchmark scenario as a ready-to-run simulation."""
-    profiles = {
+    interactive = requests * 7 // 10
+    scenario = load_scenario({
+        "scenario": {"name": "serve-bench", "seed": seed},
+        "fleet": {"devices": f"gp102:{devices}"},
+        "serving": {"scheduler": "least-loaded"},
+        "admission": {"policy": "slo-aware"},
+        "autoscale": {"template": "gp102", "min_devices": max(1, devices // 2),
+                      "max_devices": devices},
+        "tenants": [
+            {"name": "interactive", "slo_ms": 20.0, "arrival": {
+                "kind": "diurnal", "base_rps": 6000.0, "requests": interactive,
+                "networks": ["alexnet"], "period_ms": 30_000.0, "segments": 32}},
+            {"name": "batch", "slo_ms": 100.0, "priority": 1, "arrival": {
+                "kind": "poisson", "rps": 2500.0,
+                "requests": requests - interactive, "networks": ["resnet"]}},
+        ],
+    })
+    return scenario.sim({
         ("alexnet", "GP102"): _profile("alexnet", 1.0, 0.5),
         ("resnet", "GP102"): _profile("resnet", 2.0, 1.0),
-    }
-    fleet = build_fleet(f"gp102:{devices}")
-    interactive = requests * 7 // 10
-    workload = MultiTenantWorkload([
-        (Tenant("interactive", slo_ms=20.0),
-         DiurnalWorkload(6000.0, interactive, ["alexnet"],
-                         period_ms=30_000.0, segments=32)),
-        (Tenant("batch", slo_ms=100.0, priority=1),
-         PoissonWorkload(2500.0, requests - interactive, ["resnet"])),
-    ])
-    pipeline = make_pipeline(
-        admission="slo-aware",
-        autoscale=AutoscaleConfig(
-            template="gp102", min_devices=max(1, devices // 2),
-            max_devices=devices, interval_ms=1000.0,
-        ),
-    )
-    config = ServeConfig(scheduler="least-loaded", seed=seed,
-                         admission="slo-aware")
-    return ServeSim(fleet, profiles, workload, config, pipeline)
+    })
 
 
 def run_serve_bench(

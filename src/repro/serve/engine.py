@@ -89,6 +89,13 @@ class ServeConfig:
     #: Admission policy name (used when no explicit pipeline is given).
     admission: str = "none"
 
+    def __post_init__(self) -> None:
+        # Fail at load time, not when a run builds the devices' batchers.
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.batch_timeout_ms < 0:
+            raise ValueError("batch_timeout_ms must be >= 0")
+
 
 class _TenantAcc:
     """Per-tenant accumulators of one run (hot-path mutable state)."""

@@ -49,7 +49,9 @@ checks campaigns use: unknown tables, unknown keys inside a table,
 ill-typed values, unknown networks/platforms/schedulers/policies and
 malformed arrival specs all raise :class:`ScenarioError` naming the
 offending field.  ``trace`` arrivals resolve relative ``path`` values
-against the scenario file's directory.
+against the scenario file's directory.  Every serving run is a
+scenario (``repro serve`` flags compile to a one-tenant tree), and
+:meth:`ServeScenario.sim` builds its simulation.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from repro.platforms import list_platforms
+from repro.platforms import list_platforms, make_config
 from repro.serve.admission import ADMISSION_POLICIES
 from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.devices import ServeDevice, build_fleet
-from repro.serve.engine import ServeConfig
+from repro.serve.engine import ServeConfig, ServeSim
 from repro.serve.pipeline import ServePipeline, make_pipeline
 from repro.serve.schedulers import SCHEDULERS
 from repro.serve.tenants import MultiTenantWorkload, Tenant
@@ -93,14 +95,18 @@ TOP_LEVEL_KEYS = (
 SCENARIO_KEYS = ("name", "description", "seed")
 TENANT_KEYS = ("name", "slo_ms", "priority", "weight", "arrival")
 
-#: Typed ``[serving]`` knobs and their defaults (``scheduler`` aside).
+#: Typed ``[serving]`` knobs and their defaults: the fields of
+#: :class:`ServeConfig` that no other table or key sets.
 SERVING_FIELDS = {
-    "slo_ms": 50.0, "max_batch": 8, "batch_timeout_ms": 2.0, "max_queue": 256,
+    knob.name: knob.default
+    for knob in fields(ServeConfig)
+    if knob.name not in ("scheduler", "seed", "admission")
 }
 
 #: Per generated arrival kind: its workload class and typed keyword
-#: fields with defaults.  Every kind also takes ``requests``,
-#: ``networks`` and ``weights``; ``trace`` takes only ``path``.
+#: fields with defaults.  Every kind also takes ``requests`` (see
+#: :func:`arrival_fields`), ``networks`` and ``weights``; ``trace``
+#: takes only ``path``.
 _ARRIVALS = {
     "poisson": (PoissonWorkload, {"rps": 100.0}),
     "bursty": (BurstyWorkload, {
@@ -112,8 +118,14 @@ _ARRIVALS = {
     }),
     "closed": (ClosedLoopWorkload, {"clients": 32, "think_ms": 10.0}),
 }
-_STREAM_KEYS = ("requests", "networks", "weights")
 ARRIVAL_KINDS = (*_ARRIVALS, "trace")
+#: Arrival kind of each workload class, for :meth:`ServeScenario.describe`.
+_KIND_OF = {cls: kind for kind, (cls, _) in _ARRIVALS.items()} | {TraceWorkload: "trace"}
+
+
+def arrival_fields(kind: str) -> dict:
+    """The typed keyword fields of generated arrival *kind*, with defaults."""
+    return {"requests": 10_000, **_ARRIVALS[kind][1]}
 
 
 @dataclass(frozen=True)
@@ -138,14 +150,9 @@ class ServeScenario:
     @property
     def networks(self) -> tuple[str, ...]:
         """Every network any tenant serves, sorted and deduplicated."""
-        names: set[str] = set()
-        for _, workload in self.parts:
-            names.update(getattr(workload, "networks", ()))
-            # Trace replays carry no declared network list; collect
-            # from the recorded arrivals instead.
-            for arrival in getattr(workload, "arrivals", ()):
-                names.add(arrival.network)
-        return tuple(sorted(names))
+        return tuple(sorted({
+            name for _, workload in self.parts for name in workload.networks
+        }))
 
     @property
     def tenants(self) -> tuple[Tenant, ...]:
@@ -167,16 +174,35 @@ class ServeScenario:
             admission_options=dict(self.admission_options),
         )
 
+    def platforms(self) -> list:
+        """Every platform that needs latency profiles: the fleet's, plus
+        the autoscale template (scale-ups may add a platform it lacks)."""
+        platforms = [device.platform for device in self.fleet()]
+        if self.autoscale is not None:
+            platforms.append(make_config(self.autoscale.template))
+        return platforms
+
+    def sim(self, profiles) -> ServeSim:
+        """A fresh, ready-to-run simulation over *profiles* (keyed
+        ``(network, platform name)``, covering :meth:`platforms`)."""
+        return ServeSim(
+            self.fleet(), profiles, self.workload(), self.config, self.pipeline()
+        )
+
     def describe(self) -> dict:
-        """Flat parameter mapping for the report's scenario table."""
+        """Flat parameter mapping for the report's scenario table.
+
+        Each tenant's arrival kind, rate, request count and networks
+        follow the policies, keyed by field name alone for a one-tenant
+        scenario and ``<tenant>.<field>`` otherwise.
+        """
+        config = self.config
         out: dict = {
             "scenario": self.name,
             "devices": self.fleet_spec,
-            "scheduler": self.config.scheduler,
-            "admission": self.config.admission,
-            "max_batch": self.config.max_batch,
-            "batch_timeout_ms": self.config.batch_timeout_ms,
-            "max_queue": self.config.max_queue,
+            "scheduler": config.scheduler,
+            "admission": config.admission,
+            **{knob: getattr(config, knob) for knob in SERVING_FIELDS},
             "seed": self.seed,
             "tenants": ", ".join(
                 f"{t.name} (slo {t.slo_ms:g} ms, prio {t.priority})"
@@ -188,6 +214,13 @@ class ServeScenario:
                 f"{self.autoscale.template} x "
                 f"[{self.autoscale.min_devices}, {self.autoscale.max_devices}]"
             )
+        for tenant, workload in self.parts:
+            prefix = f"{tenant.name}." if len(self.parts) > 1 else ""
+            out[prefix + "arrival"] = _KIND_OF[type(workload)]
+            if hasattr(workload, "rps"):
+                out[prefix + "rps"] = workload.rps
+            out[prefix + "requests"] = workload.requests
+            out[prefix + "networks"] = ",".join(workload.networks)
         return out
 
 
@@ -214,12 +247,12 @@ def _build_arrival(table, where: str, base_dir: Path) -> Workload:
             return TraceWorkload.from_json(path)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise _fail(f"{where}: {exc}") from exc
-    workload, defaults = _ARRIVALS[kind]
-    _spec.keys(table, ("kind", *_STREAM_KEYS, *defaults), where)
+    defaults = arrival_fields(kind)
+    _spec.keys(table, ("kind", "networks", "weights", *defaults), where)
     networks = _spec.networks(table.get("networks"), f"{where}.networks")
-    kwargs = _spec.fields(table, {"requests": 10_000, **defaults}, where)
+    kwargs = _spec.fields(table, defaults, where)
     try:
-        return workload(
+        return _ARRIVALS[kind][0](
             networks=networks,
             weights=_weights(table, len(networks), where),
             **kwargs,
@@ -255,7 +288,7 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ServeScenario:
     description = _spec.string(
         meta.get("description", ""), "[scenario].description", optional=True
     )
-    seed = _spec.integer(meta.get("seed", 0), "[scenario].seed")
+    seed = _spec.integer(meta.get("seed", ServeConfig.seed), "[scenario].seed")
 
     fleet_table = _spec.table(data.get("fleet", {}), "[fleet]", ("devices",))
     fleet_spec = _spec.string(fleet_table.get("devices"), "[fleet].devices")
@@ -267,14 +300,15 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ServeScenario:
     serving = _spec.table(
         data.get("serving", {}), "[serving]", ("scheduler", *SERVING_FIELDS)
     )
+    # Labelled plainly: ``repro serve --scheduler`` errors come from here.
     scheduler = _spec.choice(
-        serving.get("scheduler", "latency-aware"), "[serving].scheduler", SCHEDULERS
+        serving.get("scheduler", ServeConfig.scheduler), "scheduler", SCHEDULERS
     )
     knobs = _spec.fields(serving, SERVING_FIELDS, "[serving]")
 
     admission_table = _spec.table(data.get("admission", {}), "[admission]")
     admission = _spec.choice(
-        admission_table.get("policy", "none"), "[admission].policy",
+        admission_table.get("policy", ServeConfig.admission), "[admission].policy",
         ADMISSION_POLICIES,
     )
     admission_options = {
@@ -297,29 +331,24 @@ def scenario_from_dict(data: dict, base_dir: str | Path = ".") -> ServeScenario:
         raise _fail(f"duplicate tenant names in {names}")
 
     try:
-        config = ServeConfig(
-            **knobs, scheduler=scheduler, seed=seed, admission=admission
+        scenario = ServeScenario(
+            name=name,
+            description=description,
+            seed=seed,
+            fleet_spec=fleet_spec,
+            config=ServeConfig(
+                **knobs, scheduler=scheduler, seed=seed, admission=admission
+            ),
+            admission_options=admission_options,
+            autoscale=autoscale,
+            parts=parts,
         )
         # Surface bad admission kwargs (e.g. a typo'd priority_fill) at
         # load time, not at run time.
-        make_pipeline(
-            admission=admission,
-            autoscale=autoscale,
-            admission_options=dict(admission_options),
-        )
+        scenario.pipeline()
     except (TypeError, ValueError) as exc:
         raise _fail(str(exc)) from exc
-
-    return ServeScenario(
-        name=name,
-        description=description,
-        seed=seed,
-        fleet_spec=fleet_spec,
-        config=config,
-        admission_options=admission_options,
-        autoscale=autoscale,
-        parts=parts,
-    )
+    return scenario
 
 
 def _autoscale(table) -> AutoscaleConfig:

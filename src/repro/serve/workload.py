@@ -80,7 +80,13 @@ class Workload:
 
 
 class PoissonWorkload(Workload):
-    """Open-loop Poisson arrivals at a fixed rate."""
+    """Open-loop Poisson arrivals at a fixed rate.
+
+    The arrival chain lives here: :meth:`prime` and
+    :meth:`next_arrival` ask :meth:`_next_time` for each arrival's time,
+    then draw its network, in that order.  The modulated processes
+    below override only :meth:`_next_time`.
+    """
 
     def __init__(
         self,
@@ -98,19 +104,22 @@ class PoissonWorkload(Workload):
         self.networks = tuple(networks)
         self.weights = tuple(weights) if weights is not None else None
 
-    def _gap_ms(self, rng: Random) -> float:
-        return rng.expovariate(self.rps) * 1e3
+    def _next_time(self, start_ms: float, rng: Random) -> float:
+        """The time of the first arrival after *start_ms*."""
+        return start_ms + rng.expovariate(self.rps) * 1e3
 
     def prime(self, rng: Random) -> list[Arrival]:
         if self.requests < 1:
             return []
-        return [Arrival(self._gap_ms(rng), _pick(self.networks, self.weights, rng), 0)]
+        return [
+            Arrival(self._next_time(0.0, rng), _pick(self.networks, self.weights, rng), 0)
+        ]
 
     def next_arrival(self, prev: Arrival, rng: Random) -> Arrival | None:
         if prev.index + 1 >= self.requests:
             return None
         return Arrival(
-            prev.time_ms + self._gap_ms(rng),
+            self._next_time(prev.time_ms, rng),
             _pick(self.networks, self.weights, rng),
             prev.index + 1, prev.tenant, prev.stream,
         )
@@ -161,25 +170,12 @@ class BurstyWorkload(PoissonWorkload):
                 continue
             return t + gap
 
-    def prime(self, rng: Random) -> list[Arrival]:
-        if self.requests < 1:
-            return []
-        return [
-            Arrival(self._next_time(0.0, rng), _pick(self.networks, self.weights, rng), 0)
-        ]
 
-    def next_arrival(self, prev: Arrival, rng: Random) -> Arrival | None:
-        if prev.index + 1 >= self.requests:
-            return None
-        return Arrival(
-            self._next_time(prev.time_ms, rng),
-            _pick(self.networks, self.weights, rng),
-            prev.index + 1, prev.tenant, prev.stream,
-        )
-
-
-class DiurnalWorkload(Workload):
+class DiurnalWorkload(PoissonWorkload):
     """Open-loop arrivals following a sinusoidal day/night rate curve.
+
+    A non-homogeneous Poisson process: it runs :class:`PoissonWorkload`'s
+    arrival chain and reshapes only :meth:`_next_time`.
 
     The instantaneous rate is ``base_rps * (1 + amplitude * sin(2*pi *
     (t - phase_ms) / period_ms))``, approximated as piecewise-constant
@@ -204,8 +200,7 @@ class DiurnalWorkload(Workload):
     ) -> None:
         if base_rps <= 0:
             raise ValueError("base_rps must be > 0")
-        if not networks:
-            raise ValueError("at least one network required")
+        super().__init__(base_rps, requests, networks, weights)
         if period_ms <= 0:
             raise ValueError("period_ms must be > 0")
         if not 0 <= amplitude < 1:
@@ -213,9 +208,6 @@ class DiurnalWorkload(Workload):
         if segments < 1:
             raise ValueError("segments must be >= 1")
         self.base_rps = base_rps
-        self.requests = requests
-        self.networks = tuple(networks)
-        self.weights = tuple(weights) if weights is not None else None
         self.period_ms = period_ms
         self.amplitude = amplitude
         self.phase_ms = phase_ms
@@ -230,11 +222,6 @@ class DiurnalWorkload(Workload):
             for i in range(segments)
         )
 
-    def rate_rps(self, t_ms: float) -> float:
-        """The piecewise-constant offered rate at simulated time *t_ms*."""
-        index = int(((t_ms - self.phase_ms) % self.period_ms) // self._segment_ms)
-        return self._rates[min(index, self.segments - 1)] * 1e3
-
     def _next_time(self, start_ms: float, rng: Random) -> float:
         segment_ms = self._segment_ms
         t = start_ms
@@ -248,22 +235,6 @@ class DiurnalWorkload(Workload):
                 continue
             return t + gap
 
-    def prime(self, rng: Random) -> list[Arrival]:
-        if self.requests < 1:
-            return []
-        return [
-            Arrival(self._next_time(0.0, rng), _pick(self.networks, self.weights, rng), 0)
-        ]
-
-    def next_arrival(self, prev: Arrival, rng: Random) -> Arrival | None:
-        if prev.index + 1 >= self.requests:
-            return None
-        return Arrival(
-            self._next_time(prev.time_ms, rng),
-            _pick(self.networks, self.weights, rng),
-            prev.index + 1, prev.tenant, prev.stream,
-        )
-
 
 class TraceWorkload(Workload):
     """Replay a recorded request log, exactly and in order."""
@@ -274,6 +245,8 @@ class TraceWorkload(Workload):
             Arrival(time_ms, network, index)
             for index, (time_ms, network) in enumerate(ordered)
         )
+        self.requests = len(self.arrivals)
+        self.networks = tuple(sorted({arrival.network for arrival in self.arrivals}))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TraceWorkload":

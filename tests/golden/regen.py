@@ -63,22 +63,15 @@ def regen_campaigns() -> None:
 
 def regen_serve_scale() -> None:
     from repro.gpu.config import SimOptions
-    from repro.platforms import make_config
     from repro.runs import ResultStore
-    from repro.serve import build_profiles, load_scenario, run_serve
+    from repro.serve import build_profiles, load_scenario
 
     scenario = load_scenario(EXAMPLES_DIR / "serve_scale.toml")
-    fleet = scenario.fleet()
-    platforms = [device.platform for device in fleet]
-    if scenario.autoscale is not None:
-        platforms.append(make_config(scenario.autoscale.template))
     profiles = build_profiles(
-        list(scenario.networks), platforms, SimOptions().light(), ResultStore(),
+        scenario.networks, scenario.platforms(), SimOptions().light(),
+        ResultStore(),
     )
-    stats = run_serve(
-        fleet, profiles, scenario.workload(), scenario.config,
-        pipeline=scenario.pipeline(),
-    )
+    stats = scenario.sim(profiles).run()
     path = GOLDEN_DIR / "serve_scale.digest"
     path.write_text(stats.digest() + "\n")
     print(f"wrote {path}")

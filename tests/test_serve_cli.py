@@ -13,7 +13,7 @@ class TestServeCli:
     def test_light_poisson_run_json(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102,tx1",
-            "--rps", "400", "--requests", "300", "--light",
+            "--rps", "400", "--requests", "300", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--seed", "1", "--json",
         ])
         assert exit_code == 0
@@ -26,7 +26,7 @@ class TestServeCli:
     def test_seed_reproducibility(self, capsys, tmp_path):
         args = [
             "serve", "--networks", "gru", "--devices", "gp102",
-            "--rps", "200", "--requests", "200", "--light",
+            "--rps", "200", "--requests", "200", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--seed", "9", "--json",
         ]
         assert main(args) == 0
@@ -39,7 +39,7 @@ class TestServeCli:
         report = tmp_path / "serve.md"
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102,tx1",
-            "--rps", "300", "--requests", "200", "--light",
+            "--rps", "300", "--requests", "200", "--fidelity", "light",
             "--cache-dir", str(tmp_path),
             "--scheduler", "round-robin,latency-aware",
             "--report", str(report),
@@ -54,7 +54,7 @@ class TestServeCli:
     def test_extension_network_served(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "mobilenet", "--devices", "gp102",
-            "--rps", "100", "--requests", "50", "--light",
+            "--rps", "100", "--requests", "50", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 0
@@ -70,7 +70,7 @@ class TestServeCli:
         ]))
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102",
-            "--arrival", "trace", "--trace", str(trace), "--light",
+            "--arrival", "trace", "--trace", str(trace), "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 0
@@ -79,7 +79,7 @@ class TestServeCli:
     def test_trace_without_path_errors(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "gru", "--arrival", "trace",
-            "--light", "--cache-dir", str(tmp_path),
+            "--fidelity", "light", "--cache-dir", str(tmp_path),
         ])
         assert exit_code == 2
 
@@ -103,6 +103,46 @@ class TestServeCli:
         assert main([
             "serve", "--networks", "gru", "--devices", "warpdrive",
         ]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--rps", "-1"],
+        ["--slo-ms", "0"],
+        ["--arrival", "closed", "--clients", "0"],
+        ["--arrival", "trace", "--trace", "missing.json"],
+        ["--batch", "0"],
+        ["--batch-timeout-ms", "-1"],
+    ])
+    def test_bad_flag_values_exit_2(self, capsys, flags):
+        # Flag values pass the scenario checks: a clean error, no traceback.
+        assert main(["serve", "--networks", "gru", "--no-cache", *flags]) == 2
+        assert "serve scenario:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "simulate gru"])
+    def test_no_light_alias(self, capsys, command):
+        # ``--fidelity light`` is the one spelling of light sampling.
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--light"])
+        assert exc.value.code == 2
+        assert "--light" in capsys.readouterr().err
+
+    def test_flag_report_names_the_arrival_stream(self, capsys, tmp_path):
+        report = tmp_path / "serve.md"
+        assert main([
+            "serve", "--networks", "gru", "--devices", "gp102",
+            "--arrival", "bursty", "--rps", "250", "--requests", "120",
+            "--fidelity", "light", "--cache-dir", str(tmp_path),
+            "--report", str(report),
+        ]) == 0
+        rows = {
+            cells[0]: cells[1]
+            for line in report.read_text().splitlines()
+            if (cells := [c.strip() for c in line.strip("|").split("|")])
+            and len(cells) == 2
+        }
+        assert rows["arrival"] == "bursty"
+        assert float(rows["rps"]) == 250.0
+        assert rows["requests"] == "120"
+        assert rows["networks"] == "gru"
 
 
 SCENARIO_TOML = """\
@@ -152,7 +192,7 @@ class TestScenarioCli:
     def test_scenario_json_schema(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)
         exit_code = main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--json",
         ])
         assert exit_code == 0
@@ -174,7 +214,7 @@ class TestScenarioCli:
             'name = "cli-test"', 'name = "cli-test"\nloop = "fast"'
         ))
         assert main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path),
         ]) == 2
         err = capsys.readouterr().err
@@ -184,7 +224,7 @@ class TestScenarioCli:
     def test_scenario_text_output_mentions_tenants(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)
         assert main([
-            "serve", "--scenario", str(path), "--light",
+            "serve", "--scenario", str(path), "--fidelity", "light",
             "--cache-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
@@ -196,13 +236,36 @@ class TestScenarioCli:
         # loudly rather than fall back to flag defaults.
         assert main([
             "serve", "--scenario", str(tmp_path / "missing.toml"),
-            "--light", "--cache-dir", str(tmp_path),
+            "--fidelity", "light", "--cache-dir", str(tmp_path),
         ]) == 2
+
+    def test_flags_match_equivalent_one_tenant_scenario(self, capsys, tmp_path):
+        # The flags are shorthand for this file: same run, same bytes.
+        path = tmp_path / "flags.toml"
+        path.write_text(
+            '[scenario]\nname = "flags"\nseed = 4\n'
+            '[fleet]\ndevices = "gp102,tx1"\n'
+            '[serving]\nscheduler = "least-loaded"\nmax_queue = 32\n'
+            'slo_ms = 20.0\n'
+            '[[tenants]]\nname = "default"\nslo_ms = 20.0\n'
+            '[tenants.arrival]\nkind = "poisson"\nrps = 400.0\n'
+            'requests = 250\nnetworks = ["gru"]\n'
+        )
+        common = ["--fidelity", "light", "--cache-dir", str(tmp_path), "--json"]
+        assert main([
+            "serve", "--networks", "gru", "--devices", "gp102,tx1",
+            "--rps", "400", "--requests", "250", "--seed", "4",
+            "--scheduler", "least-loaded", "--queue", "32", "--slo-ms", "20",
+            *common,
+        ]) == 0
+        from_flags = capsys.readouterr().out
+        assert main(["serve", "--scenario", str(path), *common]) == 0
+        assert capsys.readouterr().out == from_flags
 
     def test_admission_flag_without_scenario(self, capsys, tmp_path):
         exit_code = main([
             "serve", "--networks", "gru", "--devices", "gp102",
-            "--rps", "2000", "--requests", "400", "--light",
+            "--rps", "2000", "--requests", "400", "--fidelity", "light",
             "--cache-dir", str(tmp_path), "--slo-ms", "2",
             "--queue", "8", "--admission", "slo-aware", "--json",
         ])
@@ -224,7 +287,7 @@ class TestCacheCli:
     def test_stats_then_clear_roundtrip(self, capsys, tmp_path):
         # Populate the cache through a simulation run.
         assert main([
-            "simulate", "gru", "--light", "--cache-dir", str(tmp_path),
+            "simulate", "gru", "--fidelity", "light", "--cache-dir", str(tmp_path),
         ]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0

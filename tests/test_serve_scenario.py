@@ -114,6 +114,42 @@ class TestHappyPath:
         assert [t.name for t in workload.tenants] == ["a", "b", "c", "d"]
         assert scenario.networks == ("alexnet", "gru")
 
+    def test_describe_lists_each_stream(self):
+        one = scenario_from_dict(minimal()).describe()
+        assert (one["arrival"], one["rps"], one["requests"], one["networks"]) == (
+            "poisson", 100.0, 50, "gru",
+        )
+        data = minimal()
+        data["tenants"].append({"name": "loop", "slo_ms": 10.0, "arrival": {
+            "kind": "closed", "clients": 2, "requests": 5,
+            "networks": ["gru", "alexnet"]}})
+        two = scenario_from_dict(data).describe()
+        assert "arrival" not in two
+        assert two["only.arrival"] == "poisson" and two["only.rps"] == 100.0
+        assert two["loop.arrival"] == "closed" and "loop.rps" not in two
+        assert two["loop.requests"] == 5
+        assert two["loop.networks"] == "gru,alexnet"
+
+    def test_sim_covers_fleet_and_autoscale_template(self):
+        from repro.serve.profiles import KernelTerm, LatencyProfile
+
+        data = minimal()
+        data["autoscale"] = {"template": "tx1", "max_devices": 3}
+        scenario = scenario_from_dict(data)
+        platforms = [platform.name for platform in scenario.platforms()]
+        assert platforms[:2] == ["GP102", "GP102"] and len(platforms) == 3
+        profiles = {
+            ("gru", name): LatencyProfile(
+                "gru", name, 1.0, launch_overhead_cycles=1e6,
+                terms=(KernelTerm(5e5, 1, 1, 1),), dynamic_j=0.01,
+                static_watts=10.0,
+            )
+            for name in platforms
+        }
+        stats = scenario.sim(profiles).run()
+        assert stats.offered == 50
+        assert stats.scheduler == "least-loaded"
+
 
 class TestValidation:
     def test_unknown_top_level_key(self):
@@ -164,6 +200,13 @@ class TestValidation:
         data["admission"] = {"policy": "slo-aware", "slo_slack": -1.0}
         with pytest.raises(ScenarioError, match="slo_slack"):
             scenario_from_dict(data)
+
+    def test_bad_batching_knobs_fail_at_load(self):
+        for knob, value in (("max_batch", 0), ("batch_timeout_ms", -1.0)):
+            data = minimal()
+            data["serving"][knob] = value
+            with pytest.raises(ScenarioError, match=knob):
+                scenario_from_dict(data)
 
     def test_bad_autoscale_bounds_fail_at_load(self):
         data = minimal()

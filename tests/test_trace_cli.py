@@ -25,7 +25,7 @@ class TestTraceSimulate:
     def test_refreshes_even_when_store_is_warm(self, capsys, tmp_path):
         cache = tmp_path / "store"
         out = tmp_path / "trace.json"
-        args = ["trace", "simulate", "gru", "--light",
+        args = ["trace", "simulate", "gru", "--fidelity", "light",
                 "--cache-dir", str(cache), "--output", str(out)]
         assert main(args) == 0
         first = json.loads(out.read_text())
@@ -43,7 +43,7 @@ class TestTraceSimulate:
 
     def test_no_warps_drops_stall_spans(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "gru", "--light", "--no-cache",
+        assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
                      "--no-warps", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         cats = {e.get("cat") for e in payload["traceEvents"]}
@@ -51,14 +51,14 @@ class TestTraceSimulate:
 
     def test_json_prints_payload_to_stdout(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "gru", "--light", "--no-cache",
+        assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
                      "--output", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == json.loads(out.read_text())
 
     def test_max_events_overflow_is_counted(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "simulate", "gru", "--light", "--no-cache",
+        assert main(["trace", "simulate", "gru", "--fidelity", "light", "--no-cache",
                      "--max-events", "10", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["otherData"]["dropped_events"] > 0
@@ -87,6 +87,28 @@ class TestTraceServe:
         assert "batch" in cats and "request" in cats
         counters = payload["metrics"]["counters"]
         assert counters["serve.completed"]["value"] > 0
+
+    def test_scenario_file_is_traced(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.toml"
+        scenario.write_text(
+            '[scenario]\nname = "traced"\n[fleet]\ndevices = "tx1"\n'
+            '[[tenants]]\nname = "rt"\nslo_ms = 30.0\n'
+            '[tenants.arrival]\nkind = "poisson"\nrps = 200.0\n'
+            'requests = 30\nnetworks = ["gru"]\n'
+        )
+        out = tmp_path / "trace.json"
+        assert main(["trace", "serve", "--scenario", str(scenario),
+                     "--fidelity", "light", "--no-cache", "--no-warps",
+                     "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert validate_chrome_trace(payload) == []
+        cats = {e.get("cat") for e in payload["traceEvents"]
+                if e.get("ph") in ("X", "i")}
+        assert "batch" in cats and "request" in cats
+        meta = payload["otherData"]
+        assert meta["arrival"] == "scenario"
+        assert meta["networks"] == "gru" and meta["devices"] == "tx1"
+        assert meta["dropped_events"] == 0
 
     def test_bad_scheduler_exits_2(self, capsys, tmp_path):
         assert main(["trace", "serve", "--scheduler", "nope",
