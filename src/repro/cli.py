@@ -80,7 +80,8 @@ Subcommands:
     ``--json`` emits machine-readable rows.
 
 Shared flags behave identically everywhere they appear: ``--json``
-(machine-readable stdout), ``--jobs N`` (worker processes),
+(machine-readable stdout), ``--jobs N`` (runs at a time, one worker
+process each; at the default of 1 each run's waves still use all cores),
 ``--cache-dir DIR`` / ``--no-cache`` (the unified result store) and
 ``--fidelity default|light`` (simulation sampling).
 
@@ -802,8 +803,9 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
                         help="emit machine-readable JSON on stdout")
     jobs_p = argparse.ArgumentParser(add_help=False)
     jobs_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan fresh simulations out across N worker "
-                             "processes (default: 1)")
+                        help="run N fresh simulations at a time, across N "
+                             "worker processes (default: 1, one run at a "
+                             "time; each run's waves still use all cores)")
     cache_dir_p = argparse.ArgumentParser(add_help=False)
     cache_dir_p.add_argument("--cache-dir", default=None, metavar="DIR",
                              help="result-store directory (default: "

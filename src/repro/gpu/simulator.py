@@ -32,6 +32,11 @@ are bit-identical on every suite network.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -109,6 +114,9 @@ class NetworkResult:
     #: Distinct canonical signatures among the launches (dedup collapses
     #: the launch list to this many simulations on a cold run).
     unique_kernels: int = 0
+    #: Processes the run's missing waves ran on (1: in-process, and for
+    #: every result that was not simulated here).
+    wave_workers: int = 1
 
     @property
     def total_cycles(self) -> float:
@@ -199,18 +207,61 @@ class _WaveRun:
         self.const_accesses = hierarchy.const_accesses
 
 
+@dataclass
+class _Wave:
+    """One resident wave a network run must simulate.
+
+    The plan step makes one per missing :func:`~repro.analysis.canonical.wave_class`
+    (one per missing launch without dedup): the first launch of the
+    class, its simulated block count and its program, expanded once
+    here and handed to :func:`_run_wave` as is.  The run step fills
+    :attr:`run`.
+    """
+
+    kernel: KernelLaunch
+    sim_blocks: int
+    expanded: list
+    run: _WaveRun | None = None
+
+    @property
+    def cost(self) -> int:
+        """Relative wall cost: expanded length x simulated blocks x warps per block."""
+        return len(self.expanded) * self.sim_blocks * self.kernel.warps_per_block
+
+
+def _expand(kernel: KernelLaunch, options: SimOptions) -> list:
+    """*kernel*'s program flattened under the options' loop budgets."""
+    return expand_program(kernel.program, options.max_trips, options.max_outer_trips)
+
+
+def _residency(
+    kernel: KernelLaunch, config: GpuConfig, options: SimOptions
+) -> tuple[Occupancy, int]:
+    """*kernel*'s occupancy and the number of blocks its sampled wave simulates."""
+    occupancy = compute_occupancy(kernel, config)
+    sim_blocks = occupancy.blocks
+    if options.max_sim_blocks is not None:
+        sim_blocks = max(1, min(sim_blocks, options.max_sim_blocks))
+    return occupancy, sim_blocks
+
+
 def _run_wave(
-    kernel: KernelLaunch, config: GpuConfig, options: SimOptions, sim_blocks: int
+    kernel: KernelLaunch,
+    config: GpuConfig,
+    options: SimOptions,
+    sim_blocks: int,
+    expanded: list,
 ) -> _WaveRun:
-    """Expand, decode and execute one resident wave on one SM.
+    """Decode and execute one resident wave of *kernel* on one SM.
 
     The wave class comes from the engine registry
     (:func:`repro.gpu.engine.wave_class`): ``SmWave`` for the fast
     engine, ``VectorWave`` for the vector engine.  The seed engine never
     reaches here — :func:`simulate_kernel` delegates to its frozen
-    driver wholesale.
+    driver wholesale.  Each call builds a private memory hierarchy and
+    reads nothing but its arguments, so waves may run in any order and
+    in any process.
     """
-    expanded = expand_program(kernel.program, options.max_trips, options.max_outer_trips)
     decoded = decode_program(expanded)
     hierarchy = _make_hierarchy(config)
     wave_cls = engine_registry.wave_class()
@@ -225,46 +276,33 @@ def simulate_kernel(
     kernel: KernelLaunch,
     config: GpuConfig,
     options: SimOptions | None = None,
-    _wave_cache: dict | None = None,
 ) -> KernelResult:
     """Simulate one kernel launch and scale to the full grid.
 
-    *_wave_cache* (internal, used by :func:`simulate_network`) maps
-    :func:`~repro.analysis.canonical.wave_class` keys to :class:`_WaveRun`
-    records so launches in the same class run the SM issue loop once.
-    The cache is only valid for a fixed ``(config, options)`` pair —
-    callers own that scoping.
-
     When the seed engine is active (``REPRO_ENGINE=seed`` or
     ``--engine seed``), the call delegates to the frozen seed driver
-    wholesale — no wave-class dedup, no pluggable wave class.
+    wholesale.
     """
     if engine_registry.get_engine() == "seed":
         from repro.gpu import seed_engine
 
         return seed_engine.simulate_kernel(kernel, config, options)
     options = options or SimOptions()
-    occupancy = compute_occupancy(kernel, config)
-    sim_blocks = occupancy.blocks
-    if options.max_sim_blocks is not None:
-        sim_blocks = max(1, min(sim_blocks, options.max_sim_blocks))
+    occupancy, sim_blocks = _residency(kernel, config, options)
+    run = _run_wave(kernel, config, options, sim_blocks, _expand(kernel, options))
+    return _scale(kernel, run, occupancy, sim_blocks, config)
 
-    run = None
-    wave_key = None
-    if _wave_cache is not None:
-        from repro.analysis.canonical import wave_class
 
-        warm = kernel.shared_input and kernel.total_blocks > sim_blocks
-        wave_key = wave_class(kernel, sim_blocks, warm)
-        run = _wave_cache.get(wave_key)
-    if run is None:
-        run = _run_wave(kernel, config, options, sim_blocks)
-        if _wave_cache is not None:
-            _wave_cache[wave_key] = run
-
-    # --- scaling ------------------------------------------------------
-    # Always scale a copy: the cached wave stats stay pristine for the
-    # next launch of the class (copying is exact, so the dedup-off path
+def _scale(
+    kernel: KernelLaunch,
+    run: _WaveRun,
+    occupancy: Occupancy,
+    sim_blocks: int,
+    config: GpuConfig,
+) -> KernelResult:
+    """Scale one unscaled wave outcome to *kernel*'s full launch."""
+    # Always scale a copy: the wave stats stay pristine for the next
+    # launch of the class (copying is exact, so the dedup-off path
     # produces bit-identical numbers).
     stats = _copy_stats(run.stats)
     dynamic = kernel.program.dynamic_count()
@@ -305,6 +343,147 @@ def simulate_kernel(
     )
 
 
+@dataclass
+class _Plan:
+    """How one network run resolves each launch (the plan step's output).
+
+    ``steps`` holds one ``(source, signature, detail)`` per launch, in
+    launch order: source ``"local"`` repeats an earlier launch of the
+    same signature (detail None), ``"cache"`` is a kernel-store hit
+    (detail: its :class:`KernelResult`), ``"fresh"`` scales a wave of
+    :attr:`waves` (detail: ``(occupancy, sim_blocks, wave)``).
+    """
+
+    steps: list[tuple]
+    waves: list[_Wave]
+    unique: int
+
+
+def _plan(kernels, config: GpuConfig, options: SimOptions, cache, dedup: bool) -> _Plan:
+    """Resolve each unique signature once: a local repeat, a kernel-store
+    hit, or a launch scaled from a (possibly shared) wave to simulate."""
+    from repro.analysis.canonical import wave_class
+
+    steps: list[tuple] = []
+    waves: list[_Wave] = []
+    by_class: dict[tuple, _Wave] = {}
+    seen: set[str] = set()
+    for kernel in kernels:
+        signature = kernel.signature()
+        if dedup and signature in seen:
+            steps.append(("local", signature, None))
+            continue
+        seen.add(signature)
+        hit = cache.get(kernel, config, options) if cache is not None else None
+        if hit is not None:
+            steps.append(("cache", signature, hit))
+            continue
+        occupancy, sim_blocks = _residency(kernel, config, options)
+        wave = None
+        if dedup:
+            warm = kernel.shared_input and kernel.total_blocks > sim_blocks
+            key = wave_class(kernel, sim_blocks, warm)
+            wave = by_class.get(key)
+        if wave is None:
+            wave = _Wave(kernel, sim_blocks, _expand(kernel, options))
+            waves.append(wave)
+            if dedup:
+                by_class[key] = wave
+        steps.append(("fresh", signature, (occupancy, sim_blocks, wave)))
+    return _Plan(steps, waves, len(seen))
+
+
+#: Predicted saving, in wave-cost units (:attr:`_Wave.cost`), below which
+#: the waves of one call run in-process.  Forking, feeding and joining a
+#: two-worker pool costs about 50 ms per call on the 2-core reference box
+#: (GRU at light fidelity: 12 ms in-process, 48 ms fanned out).  The
+#: fastest whole-network rate measured there is CifarNet's, ~4e5 cost
+#: units/s (AlexNet 1.4e5, ResNet 2.1e5, SqueezeNet 6.5e4), so 50 ms is
+#: taken as 20,000 units: a saving is never overestimated.
+FANOUT_MIN_SAVING = 20_000
+
+#: ``(waves, config, options)`` of a fan-out worker's run, set in the
+#: worker by :func:`_fanout_init`; fork hands the plan over without
+#: pickling it, so only a wave's position crosses the pipe.
+_FANOUT: tuple | None = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _fanout_width(waves: list[_Wave]) -> int:
+    """Processes to run *waves* on: one per usable CPU when fanning out
+    pays, else 1 (in-process).
+
+    Only a top-level process fans out (pool workers never nest), only
+    untraced (spans and counters stay in the tracer's process), only
+    where fork is available and safe (no other thread is running), and
+    only when the predicted saving — the summed cost minus the largest
+    wave — beats :data:`FANOUT_MIN_SAVING`.
+    """
+    width = min(len(waves), _usable_cpus())
+    if (
+        width < 2
+        or multiprocessing.parent_process() is not None
+        or get_tracer().enabled
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return 1
+    costs = [wave.cost for wave in waves]
+    return width if sum(costs) - max(costs) > FANOUT_MIN_SAVING else 1
+
+
+def _fanout_init(waves: list[_Wave], config: GpuConfig, options: SimOptions) -> None:
+    global _FANOUT
+    _FANOUT = (waves, config, options)
+
+
+def _fanout_wave(position: int) -> _WaveRun:
+    """Pool-worker entry: run the wave at *position* of the inherited fan-out."""
+    waves, config, options = _FANOUT
+    wave = waves[position]
+    return _run_wave(wave.kernel, config, options, wave.sim_blocks, wave.expanded)
+
+
+def _run_waves(name: str, waves: list[_Wave], config: GpuConfig, options: SimOptions) -> int:
+    """Fill every planned wave's :attr:`~_Wave.run`; returns the process
+    count used (1: in-process).
+
+    Fanned-out waves are submitted longest first to a fork pool and
+    collected in plan order, so the outcome — and the first error, when
+    a wave raises — is the in-process one.  A worker that dies takes the
+    run with it: that surfaces as one ``RuntimeError`` naming the
+    network.
+    """
+    width = _fanout_width(waves)
+    if width == 1:
+        for wave in waves:
+            wave.run = _run_wave(wave.kernel, config, options, wave.sim_blocks, wave.expanded)
+        return 1
+    order = sorted(range(len(waves)), key=lambda n: waves[n].cost, reverse=True)
+    pool = ProcessPoolExecutor(
+        width, mp_context=multiprocessing.get_context("fork"),
+        initializer=_fanout_init, initargs=(waves, config, options),
+    )
+    try:
+        futures = {n: pool.submit(_fanout_wave, n) for n in order}
+        for n, wave in enumerate(waves):
+            wave.run = futures[n].result()
+    except BrokenProcessPool:
+        raise RuntimeError(
+            f"{name}: a wave worker process died (BrokenProcessPool); "
+            "the run produced no result"
+        ) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return width
+
+
 def simulate_network(
     name: str,
     config: GpuConfig,
@@ -324,9 +503,19 @@ def simulate_network(
 
     *cache*, when given, is a
     :class:`repro.runs.store.KernelResultCache`: unique-signature
-    kernels are looked up there before simulating and stored after.
+    kernels are looked up there before simulating (all lookups happen
+    in the plan step) and stored after.
     The default (no persistent cache) leaves library behaviour
     unchanged; the ``repro simulate`` CLI and the run pipeline opt in.
+
+    The call has three steps.  *Plan* resolves every launch (local
+    repeat, store hit, or a wave to run) and expands each missing
+    wave's program once.  *Run* executes the missing waves through
+    :func:`_run_wave`, in-process or, when it pays, across a fork pool
+    with one worker per usable CPU (:func:`_fanout_width`).  *Assemble*
+    scales, stores and traces every launch in launch order, so the
+    result and the store's contents do not depend on where or in which
+    order the waves ran.
 
     When the seed engine is active the call delegates wholesale to
     :func:`repro.gpu.seed_engine.simulate_network` (which ignores
@@ -338,32 +527,27 @@ def simulate_network(
 
         return seed_engine.simulate_network(name, config, options)
     options = options or SimOptions()
+    kernels = compiled_network(name)
+    plan = _plan(kernels, config, options, cache, dedup)
+    width = _run_waves(name, plan.waves, config, options)
+
     tracer = get_tracer()
-    result = NetworkResult(network=name, config=config, options=options)
+    result = NetworkResult(network=name, config=config, options=options,
+                           unique_kernels=plan.unique, wave_workers=width)
     local: dict[str, KernelResult] = {}
-    wave_cache: dict | None = {} if dedup else None
-    seen: set[str] = set()
-    requested = 0
     offset = 0.0  # back-to-back network timeline position, in cycles
-    for kernel in compiled_network(name):
-        requested += 1
-        signature = kernel.signature()
-        seen.add(signature)
-        hit = local.get(signature) if dedup else None
-        if hit is None:
-            hit = cache.get(kernel, config, options) if cache is not None else None
-            if hit is not None:
-                source = "cache"
-            else:
-                source = "fresh"
-                hit = simulate_kernel(kernel, config, options, _wave_cache=wave_cache)
-                if cache is not None:
-                    cache.put(hit, config, options)
-            if dedup:
-                local[signature] = hit
+    for kernel, (source, signature, detail) in zip(kernels, plan.steps):
+        if source == "local":
+            first = local[signature]
+            hit = replace(first, kernel=kernel, stats=_copy_stats(first.stats))
+        elif source == "cache":
+            hit = detail
         else:
-            source = "local"
-            hit = replace(hit, kernel=kernel, stats=_copy_stats(hit.stats))
+            occupancy, sim_blocks, wave = detail
+            hit = _scale(kernel, wave.run, occupancy, sim_blocks, config)
+            if cache is not None:
+                cache.put(hit, config, options)
+        local.setdefault(signature, hit)
         result.kernels.append(hit)
         if tracer.enabled:
             tracer.span(
@@ -373,11 +557,11 @@ def simulate_network(
             )
             tracer.metrics.counter(f"gpu.kernel_{source}").inc()
             offset += hit.stats.cycles
-    result.unique_kernels = len(seen)
     if tracer.enabled:
+        requested = len(plan.steps)
         tracer.metrics.counter("analysis.dedup.requested").inc(requested)
-        tracer.metrics.counter("analysis.dedup.unique").inc(len(seen))
-        tracer.metrics.counter("analysis.dedup.replicated").inc(requested - len(seen))
+        tracer.metrics.counter("analysis.dedup.unique").inc(plan.unique)
+        tracer.metrics.counter("analysis.dedup.replicated").inc(requested - plan.unique)
     return result
 
 

@@ -19,11 +19,14 @@ scheduler noise), and every per-run sample is kept under ``samples`` so
 :func:`compare_bench` can run a rank test instead of comparing two
 noisy minima.  The emitted JSON maps each network to ``{cold_s,
 warm_s, run_warm_s, kernels, unique_kernels, engine, engine_version,
-samples, cold_mean_s, cold_std_s, cold_ci95_s}`` (plus ``seed_s`` when
-requested) — the schema of the committed ``BENCH_sim.json``, a
-superset of the pre-``--runs`` one.  The cold path runs with
-canonical-signature dedup on (the default), so ``unique_kernels`` is
-the number of simulations the engine actually performed per network.
+wave_workers, samples, cold_mean_s, cold_std_s, cold_ci95_s}`` (plus
+``seed_s`` when requested) — the schema of the committed
+``BENCH_sim.json``, a superset of the pre-``--runs`` one.  The cold path
+runs with canonical-signature dedup on (the default), so
+``unique_kernels`` is the number of simulations the engine actually
+performed per network, and ``wave_workers`` is the number of processes
+its waves ran on (1: in-process; see
+:func:`~repro.gpu.simulator.simulate_network`).
 
 :func:`compare_bench` is the regression gate behind ``repro bench
 --compare``: per network it feeds the baseline's and the fresh run's
@@ -82,6 +85,7 @@ def bench_network(
         "unique_kernels": result.unique_kernels,
         "engine": get_engine(),
         "engine_version": engine_version(),
+        "wave_workers": result.wave_workers,
         "samples": samples,
     }
     # Populate the unified store through the shared executor, then time

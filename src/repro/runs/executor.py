@@ -14,6 +14,14 @@ so every consumer sees byte-identical values whether the run was fresh
 or a hit.  A run entry that does not decode counts as missing, so a
 corrupt entry is re-simulated in the pool like any other miss.
 
+``jobs`` counts whole runs at a time, not cores: ``--jobs 1`` simulates
+one run at a time in this process, and that run's missing waves still
+fan out over every usable core
+(:func:`~repro.gpu.simulator.simulate_network`).  Runs handed to pool
+workers (``jobs > 1``) keep their waves in the worker, so pools never
+nest.  A run whose wave worker dies fails with one error naming its
+network, recorded per spec like any other failure.
+
 When a tracer is installed (:mod:`repro.obs`), the executor records
 wall-clock spans for store probes, fresh simulations and whole-plan
 passes, plus ``runs.*`` hit/miss counters.  Worker processes spawned by
